@@ -3,15 +3,14 @@
 :class:`~repro.clocks.online.OnlineProcessClock` is faithful to the
 paper's per-process handshake, but driving a whole computation through
 it allocates two fresh tuple-backed :class:`VectorTimestamp` objects per
-message (one ``join``, one ``incremented``) and re-resolves the channel's
-edge group through a dict of ``Edge`` objects on every hop.  For batch
-stamping — the :meth:`OnlineEdgeClock.timestamp_computation` case, where
-the entire computation is in hand — none of that churn is necessary:
+message (one ``join``, one ``incremented``).  For batch stamping — the
+:meth:`OnlineEdgeClock.timestamp_computation` case, where the entire
+computation is in hand — none of that churn is necessary:
 
 * each process gets one mutable list-backed workspace
   (:class:`MutableVector`) updated in place with ``join_into``/``inc``;
-* the channel -> edge-group lookup is resolved once per distinct channel
-  and flattened into per-message index tables before the hot loop;
+* the channel -> edge-group lookups are flattened into per-message
+  index tables before the hot loop;
 * both handshake sides provably converge to
   ``max(v_sender, v_receiver)`` with the channel's component bumped, so
   one fused join+increment produces the timestamp and the sender
@@ -29,7 +28,7 @@ metrics-off loop stays free of any accounting work.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List
 
 from repro.core.vector import Number, VectorTimestamp
 from repro.obs import instrument as _obs
@@ -138,22 +137,11 @@ def stamp_batch(
     }
 
     # Pre-resolve every per-message lookup into flat, index-aligned
-    # tables: the edge-group dict (keyed by Edge objects) is consulted
-    # once per distinct channel, and the hot loop below touches no
-    # dictionaries keyed by rich objects at all.
-    group_memo: Dict[Tuple[Process, Process], int] = {}
-    sender_ws: List[MutableVector] = []
-    receiver_ws: List[MutableVector] = []
-    groups: List[int] = []
-    for message in messages:
-        channel = (message.sender, message.receiver)
-        group = group_memo.get(channel)
-        if group is None:
-            group = decomposition.group_index_of(*channel)
-            group_memo[channel] = group
-        sender_ws.append(workspaces[message.sender])
-        receiver_ws.append(workspaces[message.receiver])
-        groups.append(group)
+    # tables, so the hot loop below does no per-message lookups.
+    group_index_of = decomposition.group_index_of
+    sender_ws = [workspaces[message.sender] for message in messages]
+    receiver_ws = [workspaces[message.receiver] for message in messages]
+    groups = [group_index_of(m.sender, m.receiver) for m in messages]
 
     timestamps: Dict[SyncMessage, VectorTimestamp] = {}
     m = _obs.metrics
@@ -296,7 +284,6 @@ def stamp_batch_wire(
     sends = computation.messages if message_keyed else computation
 
     workspaces: Dict[Process, MutableVector] = {}
-    group_memo: Dict[Tuple[Process, Process], int] = {}
     timestamps_map: "Dict[SyncMessage, VectorTimestamp] | None" = None
     timestamps_list: "List[VectorTimestamp] | None" = None
     if collect_timestamps:
@@ -312,10 +299,7 @@ def stamp_batch_wire(
         else:
             sender, receiver = item
         channel = (sender, receiver)
-        group = group_memo.get(channel)
-        if group is None:
-            group = decomposition.group_index_of(sender, receiver)
-            group_memo[channel] = group
+        group = decomposition.group_index_of(sender, receiver)
         send = workspaces.get(sender)
         if send is None:
             send = workspaces[sender] = MutableVector.zeros(size)

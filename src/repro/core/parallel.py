@@ -287,7 +287,6 @@ def stamp_batch_parallel(
     m = _obs.metrics
     measure = m is not None
 
-    group_memo: Dict[Tuple[object, object], int] = {}
     payloads = []
     for positions in segments:
         slots: Dict[object, int] = {}
@@ -296,16 +295,13 @@ def stamp_batch_parallel(
         groups: List[int] = []
         for position in positions:
             message = messages[position]
-            channel = (message.sender, message.receiver)
-            group = group_memo.get(channel)
-            if group is None:
-                group = decomposition.group_index_of(*channel)
-                group_memo[channel] = group
             senders.append(slots.setdefault(message.sender, len(slots)))
             receivers.append(
                 slots.setdefault(message.receiver, len(slots))
             )
-            groups.append(group)
+            groups.append(
+                decomposition.group_index_of(message.sender, message.receiver)
+            )
         payloads.append(
             (size, len(slots), senders, receivers, groups, measure)
         )

@@ -125,32 +125,33 @@ class EdgeDecomposition:
     def __init__(self, graph: UndirectedGraph, groups: Sequence[EdgeGroup]):
         self._graph = graph
         self._groups: Tuple[EdgeGroup, ...] = tuple(groups)
-        self._edge_to_group: Dict[Edge, int] = {}
+        # Both orientations of every channel, so ``e(m)`` is one probe.
+        self._group_of_pair: Dict[Tuple[Vertex, Vertex], int] = {}
         self._validate()
 
     def _validate(self) -> None:
-        graph_edges = set(self._graph.edges)
+        pairs = self._group_of_pair
         for index, group in enumerate(self._groups):
             if not isinstance(group, (StarGroup, TriangleGroup)):
                 raise DecompositionError(
                     f"group {index} is not a star or triangle: {group!r}"
                 )
             for edge in group.edges:
-                if edge not in graph_edges:
+                u, v = edge.endpoints
+                if not self._graph.has_edge(u, v):
                     raise DecompositionError(
                         f"group {index} uses edge {edge!r} absent from graph"
                     )
-                if edge in self._edge_to_group:
+                if (u, v) in pairs:
                     raise DecompositionError(
                         f"edge {edge!r} appears in groups "
-                        f"{self._edge_to_group[edge]} and {index}"
+                        f"{pairs[(u, v)]} and {index}"
                     )
-                self._edge_to_group[edge] = index
-        missing = graph_edges - set(self._edge_to_group)
+                pairs[(u, v)] = pairs[(v, u)] = index
+        missing = [e for e in self._graph.edges if e.endpoints not in pairs]
         if missing:
             raise DecompositionError(
-                f"{len(missing)} edge(s) not covered, e.g. "
-                f"{next(iter(missing))!r}"
+                f"{len(missing)} edge(s) not covered, e.g. {missing[0]!r}"
             )
 
     # ------------------------------------------------------------------
@@ -175,12 +176,11 @@ class EdgeDecomposition:
 
     def group_index_of(self, u: Vertex, v: Vertex) -> int:
         """The index ``g`` with ``(u, v) ∈ E_g`` (``e(m)`` in the paper)."""
-        edge = Edge(u, v)
         try:
-            return self._edge_to_group[edge]
+            return self._group_of_pair[(u, v)]
         except KeyError:
             raise EdgeNotFoundError(
-                f"edge {edge!r} is not in the decomposed topology"
+                f"edge {Edge(u, v)!r} is not in the decomposed topology"
             ) from None
 
     def star_count(self) -> int:
@@ -331,9 +331,11 @@ def paper_decomposition_algorithm(
             before = len(groups)
             with _obs.span("figure7.step3_split") as sp:
                 if step3_choice == "most-adjacent":
+                    # Ranking by degree sum ranks by adjacent-edge count.
+                    degree = working.degrees()
                     pivot = max(
                         working.edges,
-                        key=lambda e: working.adjacent_edge_count(e),
+                        key=lambda e: degree[e.u] + degree[e.v],
                     )
                 else:
                     pivot = working.edges[0]

@@ -11,6 +11,22 @@ connected components and triangle enumeration.
 Edges are *unordered* pairs; :class:`Edge` normalises the endpoint order
 so ``Edge('a', 'b') == Edge('b', 'a')`` and the pair can be used as a
 dictionary key (e.g. mapping each channel to its edge group).
+
+:class:`UndirectedGraph` answers every query from three indexes that
+each mutation keeps up to date:
+
+* ``_position`` maps each vertex to its insertion position; its key
+  order *is* the vertex order.
+* ``_edges`` holds the edges as an insertion-ordered dict (values
+  unused); its key order *is* the edge order, and removal is O(1).
+* ``_adjacency[u]`` maps each neighbour ``v`` of ``u`` to the stored
+  :class:`Edge` ``(u, v)``, in edge insertion order.  So ``v in
+  _adjacency[u]`` iff ``Edge(u, v) in _edges``, and the values of
+  ``_adjacency[u]`` are the edges incident to ``u`` in edge order.
+
+A removed and re-added edge moves to the end of both ``_edges`` and the
+two ``_adjacency`` entries, so per-vertex order always agrees with the
+global edge order.
 """
 
 from __future__ import annotations
@@ -47,9 +63,10 @@ class Edge:
             raise GraphError(f"self-loop edge at {u!r} is not allowed")
         # Normalise by repr ordering so equal pairs hash identically even
         # for mixed types; repr of a hashable is stable within a run.
-        first, second = sorted((u, v), key=_vertex_sort_key)
-        self._u = first
-        self._v = second
+        if _vertex_sort_key(v) < _vertex_sort_key(u):
+            u, v = v, u
+        self._u = u
+        self._v = v
 
     @property
     def u(self) -> Vertex:
@@ -122,10 +139,9 @@ class UndirectedGraph:
         vertices: Iterable[Vertex] = (),
         edges: Iterable = (),
     ):
-        self._adjacency: Dict[Vertex, Set[Vertex]] = {}
-        self._vertex_order: List[Vertex] = []
-        self._edge_order: List[Edge] = []
-        self._edge_set: Set[Edge] = set()
+        self._position: Dict[Vertex, int] = {}
+        self._edges: Dict[Edge, None] = {}
+        self._adjacency: Dict[Vertex, Dict[Vertex, Edge]] = {}
         for vertex in vertices:
             self.add_vertex(vertex)
         for edge in edges:
@@ -135,29 +151,28 @@ class UndirectedGraph:
     # Mutation
     # ------------------------------------------------------------------
     def add_vertex(self, vertex: Vertex) -> None:
-        if vertex not in self._adjacency:
-            self._adjacency[vertex] = set()
-            self._vertex_order.append(vertex)
+        if vertex not in self._position:
+            self._position[vertex] = len(self._position)
+            self._adjacency[vertex] = {}
 
     def add_edge(self, u: Vertex, v: Vertex) -> Edge:
+        existing = self._adjacency.get(u, {}).get(v)
+        if existing is not None:
+            return existing
         edge = Edge(u, v)
         self.add_vertex(u)
         self.add_vertex(v)
-        if edge not in self._edge_set:
-            self._edge_set.add(edge)
-            self._edge_order.append(edge)
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
+        self._edges[edge] = None
+        self._adjacency[u][v] = edge
+        self._adjacency[v][u] = edge
         return edge
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        edge = Edge(u, v)
-        if edge not in self._edge_set:
-            raise EdgeNotFoundError(f"edge {edge!r} not in graph")
-        self._edge_set.remove(edge)
-        self._edge_order.remove(edge)
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
+        edge = self._adjacency.get(u, {}).pop(v, None)
+        if edge is None:
+            raise EdgeNotFoundError(f"edge {Edge(u, v)!r} not in graph")
+        del self._adjacency[v][u]
+        del self._edges[edge]
 
     def remove_edges(self, edges: Iterable) -> None:
         for edge_like in list(edges):
@@ -169,48 +184,49 @@ class UndirectedGraph:
     # ------------------------------------------------------------------
     @property
     def vertices(self) -> Tuple[Vertex, ...]:
-        return tuple(self._vertex_order)
+        return tuple(self._position)
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(self._edge_order)
+        return tuple(self._edges)
 
     def vertex_count(self) -> int:
-        return len(self._vertex_order)
+        return len(self._position)
 
     def edge_count(self) -> int:
-        return len(self._edge_order)
+        return len(self._edges)
 
     def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self._adjacency
+        return vertex in self._position
+
+    def position(self, vertex: Vertex) -> int:
+        """Insertion position of ``vertex`` (its index in ``vertices``)."""
+        self._require_vertex(vertex)
+        return self._position[vertex]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        if u == v:
-            return False
-        return Edge(u, v) in self._edge_set
+        neighbours = self._adjacency.get(u)
+        return neighbours is not None and v in neighbours
 
     def neighbors(self, vertex: Vertex) -> List[Vertex]:
         """Neighbours of ``vertex`` in deterministic (insertion) order."""
         self._require_vertex(vertex)
-        adjacent = self._adjacency[vertex]
-        return [v for v in self._vertex_order if v in adjacent]
+        return sorted(self._adjacency[vertex], key=self._position.__getitem__)
 
     def degree(self, vertex: Vertex) -> int:
         self._require_vertex(vertex)
         return len(self._adjacency[vertex])
 
     def degrees(self) -> Dict[Vertex, int]:
-        return {v: len(self._adjacency[v]) for v in self._vertex_order}
+        return {v: len(adjacent) for v, adjacent in self._adjacency.items()}
 
     def max_degree(self) -> int:
-        if not self._vertex_order:
-            return 0
-        return max(len(self._adjacency[v]) for v in self._vertex_order)
+        return max(map(len, self._adjacency.values()), default=0)
 
     def incident_edges(self, vertex: Vertex) -> List[Edge]:
-        """Edges incident to ``vertex`` in deterministic order."""
+        """Edges incident to ``vertex`` in deterministic (edge) order."""
         self._require_vertex(vertex)
-        return [e for e in self._edge_order if e.incident_to(vertex)]
+        return list(self._adjacency[vertex].values())
 
     def adjacent_edge_count(self, edge_like) -> int:
         """Number of edges sharing an endpoint with the given edge.
@@ -219,14 +235,12 @@ class UndirectedGraph:
         this quantity.
         """
         edge = as_edge(edge_like)
-        if edge not in self._edge_set:
+        if edge not in self._edges:
             raise EdgeNotFoundError(f"edge {edge!r} not in graph")
-        return (
-            self.degree(edge.u) + self.degree(edge.v) - 2
-        )
+        return len(self._adjacency[edge.u]) + len(self._adjacency[edge.v]) - 2
 
     def _require_vertex(self, vertex: Vertex) -> None:
-        if vertex not in self._adjacency:
+        if vertex not in self._position:
             raise VertexNotFoundError(f"vertex {vertex!r} not in graph")
 
     # ------------------------------------------------------------------
@@ -241,48 +255,55 @@ class UndirectedGraph:
         vertex, or ``None`` for the empty graph).  Returns ``None`` when
         the graph is not a star.
         """
-        if not self._edge_order:
-            return self._vertex_order[0] if self._vertex_order else None
-        first = self._edge_order[0]
+        if not self._edges:
+            return next(iter(self._position), None)
+        first = next(iter(self._edges))
         for candidate in first.endpoints:
-            if all(e.incident_to(candidate) for e in self._edge_order):
+            if len(self._adjacency[candidate]) == len(self._edges):
                 return candidate
         return None
 
     def is_triangle(self) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
         """When the edge set is exactly a triangle, return its corners."""
-        if len(self._edge_order) != 3:
+        if len(self._edges) != 3:
             return None
         corners: Set[Vertex] = set()
-        for edge in self._edge_order:
+        for edge in self._edges:
             corners.update(edge.endpoints)
         if len(corners) != 3:
             return None
-        ordered = [v for v in self._vertex_order if v in corners]
-        a, b, c = ordered
+        a, b, c = sorted(corners, key=self._position.__getitem__)
         if self.has_edge(a, b) and self.has_edge(b, c) and self.has_edge(a, c):
             return (a, b, c)
         return None
 
     def triangles(self) -> List[Tuple[Vertex, Vertex, Vertex]]:
-        """All triangles, each listed once with vertices in graph order."""
-        order = {v: i for i, v in enumerate(self._vertex_order)}
+        """All triangles, each listed once with vertices in graph order.
+
+        Triangles come grouped by their first two corners' edge, in edge
+        order; within a group the third corner runs in vertex order.
+        """
+        order = self._position
         found: List[Tuple[Vertex, Vertex, Vertex]] = []
-        for edge in self._edge_order:
+        for edge in self._edges:
             u, v = edge.endpoints
             if order[u] > order[v]:
                 u, v = v, u
-            for w in self._vertex_order:
-                if order[w] <= order[v]:
-                    continue
-                if self.has_edge(u, w) and self.has_edge(v, w):
-                    found.append((u, v, w))
+            u_adjacent, v_adjacent = self._adjacency[u], self._adjacency[v]
+            if len(u_adjacent) > len(v_adjacent):
+                u_adjacent, v_adjacent = v_adjacent, u_adjacent
+            last = order[v]
+            common = [
+                w for w in u_adjacent if w in v_adjacent and order[w] > last
+            ]
+            common.sort(key=order.__getitem__)
+            found.extend((u, v, w) for w in common)
         return found
 
     def is_acyclic(self) -> bool:
         """True when the graph is a forest."""
         visited: Set[Vertex] = set()
-        for root in self._vertex_order:
+        for root in self._position:
             if root in visited:
                 continue
             stack: List[Tuple[Vertex, Optional[Vertex]]] = [(root, None)]
@@ -302,7 +323,7 @@ class UndirectedGraph:
         """Vertex lists of the connected components, deterministic order."""
         seen: Set[Vertex] = set()
         components: List[List[Vertex]] = []
-        for root in self._vertex_order:
+        for root in self._position:
             if root in seen:
                 continue
             component = [root]
@@ -319,7 +340,7 @@ class UndirectedGraph:
         return components
 
     def is_connected(self) -> bool:
-        if not self._vertex_order:
+        if not self._position:
             return True
         return len(self.connected_components()) == 1
 
@@ -327,7 +348,13 @@ class UndirectedGraph:
     # Derivations
     # ------------------------------------------------------------------
     def copy(self) -> "UndirectedGraph":
-        return UndirectedGraph(self._vertex_order, self._edge_order)
+        clone = UndirectedGraph()
+        clone._position = dict(self._position)
+        clone._edges = dict(self._edges)
+        clone._adjacency = {
+            v: dict(adjacent) for v, adjacent in self._adjacency.items()
+        }
+        return clone
 
     def subgraph_of_edges(self, edges: Iterable) -> "UndirectedGraph":
         """Graph with all original vertices but only the given edges.
@@ -337,18 +364,14 @@ class UndirectedGraph:
         """
         kept = [as_edge(e) for e in edges]
         for edge in kept:
-            if edge not in self._edge_set:
+            if edge not in self._edges:
                 raise EdgeNotFoundError(f"edge {edge!r} not in graph")
-        return UndirectedGraph(self._vertex_order, kept)
+        return UndirectedGraph(self._position, kept)
 
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "UndirectedGraph":
-        keep = [v for v in self._vertex_order if v in set(vertices)]
-        keep_set = set(keep)
-        edges = [
-            e
-            for e in self._edge_order
-            if e.u in keep_set and e.v in keep_set
-        ]
+        wanted = set(vertices)
+        keep = [v for v in self._position if v in wanted]
+        edges = [e for e in self._edges if e.u in wanted and e.v in wanted]
         return UndirectedGraph(keep, edges)
 
     def to_networkx(self):  # pragma: no cover - thin optional interop
@@ -356,8 +379,8 @@ class UndirectedGraph:
         import networkx
 
         graph = networkx.Graph()
-        graph.add_nodes_from(self._vertex_order)
-        graph.add_edges_from(e.endpoints for e in self._edge_order)
+        graph.add_nodes_from(self._position)
+        graph.add_edges_from(e.endpoints for e in self._edges)
         return graph
 
     def __repr__(self) -> str:

@@ -45,20 +45,21 @@ def matching_vertex_cover(graph: UndirectedGraph) -> List[Vertex]:
 
 
 def greedy_vertex_cover(graph: UndirectedGraph) -> List[Vertex]:
-    """Repeatedly take a vertex covering the most uncovered edges."""
-    remaining: Set[Edge] = set(graph.edges)
+    """Repeatedly take a vertex covering the most uncovered edges.
+
+    Ties go to the vertex that comes first in graph order.
+    """
+    # residual[v]: v's neighbours over edges no cover vertex touches yet.
+    residual = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    remaining = graph.edge_count()
     cover: List[Vertex] = []
     while remaining:
-        best_vertex: Optional[Vertex] = None
-        best_count = 0
-        for vertex in graph.vertices:
-            count = sum(1 for e in remaining if e.incident_to(vertex))
-            if count > best_count:
-                best_count = count
-                best_vertex = vertex
-        assert best_vertex is not None
+        best_vertex = max(residual, key=lambda v: len(residual[v]))
         cover.append(best_vertex)
-        remaining = {e for e in remaining if not e.incident_to(best_vertex)}
+        remaining -= len(residual[best_vertex])
+        for neighbour in residual[best_vertex]:
+            residual[neighbour].discard(best_vertex)
+        residual[best_vertex].clear()
     return cover
 
 
@@ -134,4 +135,4 @@ def minimum_vertex_cover_size(graph: UndirectedGraph) -> int:
 
 
 def _order_key(graph: UndirectedGraph, vertex: Vertex) -> int:
-    return graph.vertices.index(vertex)
+    return graph.position(vertex)

@@ -86,35 +86,47 @@ class SyncComputation:
         self._validate()
 
     def _validate(self) -> None:
+        # An adjacent pair is two distinct processes of the system, so a
+        # valid message costs one adjacency probe; only a failing one
+        # runs the itemised checks in ``_reject``.
+        has_edge = self._topology.has_edge
+        by_name = self._by_name
+        per_process = self._per_process
         for position, message in enumerate(self._messages):
-            if message.index != position:
+            if (
+                message.index != position
+                or not has_edge(message.sender, message.receiver)
+                or message.name in by_name
+            ):
+                self._reject(position, message)
+            by_name[message.name] = message
+            per_process[message.sender].append(message)
+            per_process[message.receiver].append(message)
+
+    def _reject(self, position: int, message: SyncMessage) -> None:
+        """Raise the first Section 2 rule that ``message`` breaks."""
+        if message.index != position:
+            raise InvalidComputationError(
+                f"message {message.name} has index {message.index}, "
+                f"expected {position}"
+            )
+        if message.sender == message.receiver:
+            raise InvalidComputationError(
+                f"message {message.name} sends to itself"
+            )
+        for process in message.participants():
+            if process not in self._topology:
                 raise InvalidComputationError(
-                    f"message {message.name} has index {message.index}, "
-                    f"expected {position}"
+                    f"process {process!r} of message {message.name} "
+                    "is not in the system"
                 )
-            if message.sender == message.receiver:
-                raise InvalidComputationError(
-                    f"message {message.name} sends to itself"
-                )
-            for process in message.participants():
-                if process not in self._topology:
-                    raise InvalidComputationError(
-                        f"process {process!r} of message {message.name} "
-                        "is not in the system"
-                    )
-            if not self._topology.has_edge(message.sender, message.receiver):
-                raise InvalidComputationError(
-                    f"message {message.name} uses channel "
-                    f"({message.sender!r}, {message.receiver!r}) which is "
-                    "not in the communication topology"
-                )
-            if message.name in self._by_name:
-                raise InvalidComputationError(
-                    f"duplicate message name {message.name}"
-                )
-            self._by_name[message.name] = message
-            self._per_process[message.sender].append(message)
-            self._per_process[message.receiver].append(message)
+        if not self._topology.has_edge(message.sender, message.receiver):
+            raise InvalidComputationError(
+                f"message {message.name} uses channel "
+                f"({message.sender!r}, {message.receiver!r}) which is "
+                "not in the communication topology"
+            )
+        raise InvalidComputationError(f"duplicate message name {message.name}")
 
     # ------------------------------------------------------------------
     # Constructors

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from repro.graphs.decomposition import (
     vertex_cover_decomposition,
 )
 from repro.graphs.generators import (
+    client_server_topology,
     complete_topology,
     disjoint_triangles,
     paper_fig2b_graph,
@@ -37,6 +39,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Edge, UndirectedGraph
 from repro.graphs.vertex_cover import greedy_vertex_cover
+from repro.sim.workload import multi_cluster_computation
 
 
 class TestGroups:
@@ -96,8 +99,11 @@ class TestEdgeDecomposition:
         decomposition = EdgeDecomposition(
             graph, [star_group("P2", ["P1", "P3"])]
         )
-        with pytest.raises(EdgeNotFoundError):
-            decomposition.group_index_of("P1", "P3")
+        with pytest.raises(
+            EdgeNotFoundError,
+            match=r"edge \('P1','P3'\) is not in the decomposed topology",
+        ):
+            decomposition.group_index_of("P3", "P1")
 
     def test_missing_edge_rejected(self):
         graph = path_topology(3)
@@ -341,3 +347,61 @@ class TestDecompose:
         # Validation ran in the constructor; check the size bounds.
         assert 1 <= decomposition.size <= max(1, graph.vertex_count() - 2)
         assert decomposition.size <= 2 * optimal_size(graph)
+
+
+def _group_key(group):
+    anchor = group.root if group.kind == "star" else group.corners
+    return (group.kind, repr(anchor), tuple(repr(e) for e in group.edges))
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _federated_topology(clusters: int, messages: int) -> UndirectedGraph:
+    computation = multi_cluster_computation(
+        clusters, messages, random.Random(11)
+    )
+    return computation.topology
+
+
+class TestPinnedDecompositions:
+    """SHA-256 digests of ``decompose()`` and the Figure 7 trace.
+
+    Step 1 and step 2 of Figure 7 take the first match in vertex and
+    triangle order, so any drift in the graph's iteration order changes
+    the groups and therefore every timestamp.  The digests cover group
+    kind, root or corners and edge reprs, in order, plus the step and
+    note of each trace entry.
+    """
+
+    CASES = {
+        "federated-3x3000": (
+            lambda: _federated_topology(3, 3000),
+            "0b4ac85b48711b21d6f37fc0f6068202375325a77ff8e1bfa847504451401316",
+            "3cee1a450b28547852bd58677709bf8db502d25395f16dc4538c5e9148a5d3b0",
+        ),
+        "federated-8x500": (
+            lambda: _federated_topology(8, 500),
+            "54f40370d118c46e452c01b24115a5b0d5a2fbb0b3709eae032ddfee0c83bc17",
+            "d80ebb0ce34574bee91250b22329c974a5661b431df8a368fa8eea81470879fe",
+        ),
+        "client-server-3x27": (
+            lambda: client_server_topology(3, 27),
+            "1897250b6356b00bdff9ab8a3007ca5195cd43af870cfaefdd7a0c7b61098c9a",
+            "c7838c6145191cf9e241064f8895e6d040063b026aef711b93ff2f0548e7dbfe",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digests(self, name):
+        build, groups_digest, trace_digest = self.CASES[name]
+        graph = build()
+        decomposition = decompose(graph)
+        _, trace = paper_decomposition_algorithm(graph)
+        assert _sha256([_group_key(g) for g in decomposition.groups]) == (
+            groups_digest
+        )
+        assert _sha256(
+            [(e.step, _group_key(e.group), e.note) for e in trace.entries]
+        ) == trace_digest

@@ -225,5 +225,18 @@ class TestDerivations:
         assert sub.vertex_count() == 3
         assert sub.edge_count() == 2
 
+    def test_induced_subgraph_from_generator(self):
+        from repro.graphs.generators import client_server_topology
+
+        graph = client_server_topology(2, 4)
+        sub = graph.induced_subgraph(v for v in ["S1", "C1", "C2"])
+        assert sub.vertices == ("S1", "C1", "C2")
+        assert set(sub.edges) == {Edge("S1", "C1"), Edge("S1", "C2")}
+
+    def test_position(self, square):
+        assert [square.position(v) for v in "abcd"] == [0, 1, 2, 3]
+        with pytest.raises(VertexNotFoundError):
+            square.position("z")
+
     def test_repr(self, square):
         assert "4 vertices" in repr(square)

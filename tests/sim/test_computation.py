@@ -45,27 +45,47 @@ class TestValidation:
         assert [m.name for m in comp.messages] == ["m1", "m2", "m3"]
 
     def test_self_message_rejected(self):
-        with pytest.raises(InvalidComputationError):
+        with pytest.raises(InvalidComputationError, match="m1 sends to itself"):
             SyncComputation.from_pairs(path_topology(2), [("P1", "P1")])
 
+    def test_self_message_outside_system_reports_self_send(self):
+        # The self-send rule is checked before system membership.
+        with pytest.raises(InvalidComputationError, match="m2 sends to itself"):
+            SyncComputation.from_pairs(
+                path_topology(2), [("P1", "P2"), ("P9", "P9")]
+            )
+
     def test_unknown_process_rejected(self):
-        with pytest.raises(InvalidComputationError):
+        with pytest.raises(
+            InvalidComputationError,
+            match=r"process 'P9' of message m1 is not in the system",
+        ):
             SyncComputation.from_pairs(path_topology(2), [("P1", "P9")])
 
     def test_non_channel_rejected(self):
-        with pytest.raises(InvalidComputationError):
+        with pytest.raises(
+            InvalidComputationError,
+            match=(
+                r"message m1 uses channel \('P1', 'P3'\) which is not in "
+                "the communication topology"
+            ),
+        ):
             SyncComputation.from_pairs(path_topology(3), [("P1", "P3")])
 
     def test_bad_index_rejected(self):
         topology = path_topology(2)
-        with pytest.raises(InvalidComputationError):
+        with pytest.raises(
+            InvalidComputationError, match="message m1 has index 5, expected 0"
+        ):
             SyncComputation(
                 topology, [SyncMessage(5, "P1", "P2", "m1")]
             )
 
     def test_duplicate_name_rejected(self):
         topology = path_topology(2)
-        with pytest.raises(InvalidComputationError):
+        with pytest.raises(
+            InvalidComputationError, match="duplicate message name m1"
+        ):
             SyncComputation(
                 topology,
                 [
