@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test obs-check obs-report obs-timeline obs-live lint bench bench-batch bench-offline bench-lattice bench-runtime bench-parallel bench-wire bench-report examples all clean
+.PHONY: install test obs-check obs-report obs-timeline obs-live lint bench bench-batch bench-offline bench-lattice bench-runtime bench-wire bench-report examples all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -66,9 +66,10 @@ bench:
 bench-batch:
 	$(PYTHON) -m pytest benchmarks/test_bench_batch.py -q
 
-# Old-vs-new offline (Figure 9) kernel snapshot; refreshes
-# BENCH_offline.json.  Set BENCH_OFFLINE_SMOKE=1 for a quick one-round
-# run that leaves the committed snapshot untouched (the CI smoke step).
+# Old-vs-new offline (Figure 9) kernel snapshot plus the gated
+# block-local closure + partition region; refreshes BENCH_offline.json.
+# Set BENCH_OFFLINE_SMOKE=1 for a quick one-round run that leaves the
+# committed snapshot untouched (the CI smoke step).
 bench-offline:
 	$(PYTHON) -m pytest benchmarks/test_bench_offline.py -q
 
@@ -84,13 +85,6 @@ bench-lattice:
 # step); set BENCH_RUNTIME_OUT=path to write the snapshot elsewhere.
 bench-runtime:
 	$(PYTHON) -m pytest benchmarks/test_bench_runtime.py -q
-
-# Serial vs. sharded stamping engine (repro.core.parallel); refreshes
-# BENCH_parallel.json.  Set BENCH_PARALLEL_SMOKE=1 for a quick reduced
-# run that leaves the committed snapshot untouched (the CI smoke
-# step); set BENCH_PARALLEL_OUT=path to write the snapshot elsewhere.
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/test_bench_parallel.py -q
 
 # Piggyback wire-format shootout (full vs. delta vs. bounded:K) plus
 # the 120-node socket-runtime byte-reduction run; refreshes

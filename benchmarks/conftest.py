@@ -39,10 +39,6 @@ _LATTICE_SNAPSHOT: Dict[str, object] = {}
 #: flushed to ``BENCH_runtime.json`` at session end.
 _RUNTIME_SNAPSHOT: Dict[str, object] = {}
 
-#: Sharded-engine snapshot entries (see ``record_parallel_perf``),
-#: flushed to ``BENCH_parallel.json`` at session end.
-_PARALLEL_SNAPSHOT: Dict[str, object] = {}
-
 #: Wire-format shootout entries (see ``record_wire_perf``), flushed to
 #: ``BENCH_wire.json`` at session end.
 _WIRE_SNAPSHOT: Dict[str, object] = {}
@@ -65,10 +61,6 @@ LATTICE_SNAPSHOT_PATH = (
 
 RUNTIME_SNAPSHOT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
-)
-
-PARALLEL_SNAPSHOT_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 )
 
 WIRE_SNAPSHOT_PATH = (
@@ -123,17 +115,6 @@ def record_runtime_perf(key: str, value) -> None:
     piggyback bytes/s measured on the wire.
     """
     _RUNTIME_SNAPSHOT[key] = value
-
-
-def record_parallel_perf(key: str, value) -> None:
-    """Add one entry to the ``BENCH_parallel.json`` perf snapshot.
-
-    Tracks the sharded stamping engine (``repro.core.parallel``):
-    serial vs. N-worker wall time for online batch stamping and the
-    offline closure + chain-partition region, plus the shard counts and
-    the worker budget the host actually granted.
-    """
-    _PARALLEL_SNAPSHOT[key] = value
 
 
 def record_wire_perf(key: str, value) -> None:
@@ -282,45 +263,6 @@ def _write_runtime_snapshot():
         return
     else:
         path = RUNTIME_SNAPSHOT_PATH
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _write_parallel_snapshot():
-    """Flush recorded sharding entries to ``BENCH_parallel.json``.
-
-    Smoke runs (``BENCH_PARALLEL_SMOKE=1``, the CI smoke step) leave
-    the committed snapshot untouched; ``BENCH_PARALLEL_OUT`` redirects
-    the (smoke or full) snapshot elsewhere — the CI job points it at
-    the artifact directory it uploads.
-    """
-    import os
-
-    _PARALLEL_SNAPSHOT.clear()
-    yield
-    if not _PARALLEL_SNAPSHOT:
-        return
-    payload = dict(_PARALLEL_SNAPSHOT)
-    for row_key in list(payload):
-        entry = payload[row_key]
-        if not isinstance(entry, dict):
-            continue
-        serial = entry.get("serial_seconds")
-        sharded = entry.get("parallel_seconds")
-        if isinstance(serial, float) and isinstance(sharded, float):
-            entry["speedup"] = serial / sharded
-    payload["generated_utc"] = _utc_now_iso()
-    override = os.environ.get("BENCH_PARALLEL_OUT")
-    if override:
-        path = pathlib.Path(override)
-        path.parent.mkdir(parents=True, exist_ok=True)
-    elif os.environ.get("BENCH_PARALLEL_SMOKE") == "1":
-        return
-    else:
-        path = PARALLEL_SNAPSHOT_PATH
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -14,10 +14,20 @@ poset kernels:
 Workloads are the 1k-message client–server scalability run and a
 5k-message run of the same shape.  Before any timing is recorded the
 two kernels are pinned to byte-identical timestamps, identical widths,
-and identical ``_obs`` metric snapshots.  Results land in
-``BENCH_offline.json`` (``make bench-offline``); with
+and identical ``_obs`` metric snapshots.
+
+A second region times closure + chain partition on a block-diagonal
+poset: ``multi_cluster_computation`` with 16 independent 8x22
+client/server cells, 20k messages.  The library closes and matches each
+diagonal block in block-local index space; the reference kept here
+sweeps and matches all rows at once.  Rows and chains are asserted
+identical first, and the block-local path must be at least
+``REQUIRED_BLOCK_SPEEDUP``x faster.
+
+Results land in ``BENCH_offline.json`` (``make bench-offline``); with
 ``BENCH_OFFLINE_SMOKE=1`` (the CI smoke step) everything runs one round
-at reduced sizes and the committed snapshot is left untouched.
+at reduced sizes, the speedup is not gated, and the committed snapshot
+is left untouched.
 """
 
 from __future__ import annotations
@@ -30,13 +40,14 @@ import pytest
 
 from benchmarks.conftest import emit, record_offline_perf
 from repro.clocks.offline import OfflineRealizerClock
-from repro.core.poset import Poset
+from repro.core.chains import BipartiteMatcher, minimum_chain_partition
+from repro.core.poset import Poset, diagonal_blocks
 from repro.core.poset_reference import ReferencePoset
 from repro.graphs.generators import client_server_topology
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
-from repro.order.message_order import covering_pairs
-from repro.sim.workload import random_computation
+from repro.order.message_order import covering_pairs, message_poset
+from repro.sim.workload import multi_cluster_computation, random_computation
 
 SMOKE = os.environ.get("BENCH_OFFLINE_SMOKE") == "1"
 
@@ -44,6 +55,12 @@ TOPOLOGY = client_server_topology(3, 27)  # N = 30, d = 3
 SIZES = (500,) if SMOKE else (1_000, 5_000)
 REPEATS = 1 if SMOKE else 3
 REQUIRED_SPEEDUP = 3.0
+
+#: Block-diagonal region: 16 clusters, each a full-mesh 8x22
+#: client/server cell, so the poset has (at least) 16 diagonal blocks.
+BLOCK_CLUSTERS = 16
+BLOCK_MESSAGES = 2_000 if SMOKE else 20_000
+REQUIRED_BLOCK_SPEEDUP = 2.5
 
 
 def _workload(messages: int):
@@ -174,3 +191,131 @@ def test_offline_stamping_benchmark(benchmark, kernel):
     )
     _, assignment = benchmark(pipeline, computation)
     assert len(assignment) == messages
+
+
+def _block_workload():
+    return multi_cluster_computation(
+        BLOCK_CLUSTERS, BLOCK_MESSAGES // BLOCK_CLUSTERS, random.Random(7)
+    )
+
+
+def _block_local_region(computation):
+    """Closure + chain partition as the library runs them."""
+    poset = message_poset(computation)
+    chains = minimum_chain_partition(poset)
+    return poset.above_bit_rows(), poset.below_bit_rows(), chains
+
+
+def _global_region(computation):
+    """Reference: closure + chain partition over all rows at once.
+
+    One OR-sweep over every row in a topological order, then one
+    Hopcroft–Karp run over all closed rows; no row is cut into blocks,
+    so every mask operation works on poset-sized integers.
+    """
+    elements = computation.messages
+    n = len(elements)
+    index = {message: i for i, message in enumerate(elements)}
+    direct = [0] * n
+    direct_pred = [0] * n
+    for smaller, larger in covering_pairs(computation):
+        i, j = index[smaller], index[larger]
+        direct[i] |= 1 << j
+        direct_pred[j] |= 1 << i
+
+    indegree = [bin(row).count("1") for row in direct_pred]
+    order = [i for i in range(n) if indegree[i] == 0]
+    for i in order:  # Kahn: ``order`` grows while it is walked
+        for j in _bits(direct[i]):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    above = [0] * n
+    for i in reversed(order):
+        acc = direct[i]
+        for j in _bits(direct[i]):
+            acc |= above[j]
+        above[i] = acc
+    below = [0] * n
+    for i in order:
+        acc = direct_pred[i]
+        for j in _bits(direct_pred[i]):
+            acc |= below[j]
+        below[i] = acc
+
+    match = BipartiteMatcher.from_bitmask_rows(
+        elements, elements, above
+    ).solve()
+    has_predecessor = set(match.values())
+    chains = []
+    for message in elements:
+        if message not in has_predecessor:
+            chain = [message]
+            while chain[-1] in match:
+                chain.append(match[chain[-1]])
+            chains.append(chain)
+    return tuple(above), tuple(below), chains
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_block_local_region_matches_global(report_header):
+    """Identical closed rows and chains before any timing."""
+    computation = _block_workload()
+    above, below, chains = _block_local_region(computation)
+    assert (above, below, chains) == _global_region(computation)
+    blocks = diagonal_blocks(above)
+    assert len(blocks) >= BLOCK_CLUSTERS
+    report_header(
+        f"Block-local region: equivalence at {len(computation)} messages"
+    )
+    emit(
+        f"{len(computation)} messages in {len(blocks)} diagonal blocks "
+        f"(width {len(chains)}): rows and chains identical"
+    )
+
+
+def test_block_local_speedup_snapshot(report_header):
+    """The gated number: global vs. block-local closure + partition."""
+    computation = _block_workload()
+    instrument.disable()
+    global_seconds = block_seconds = float("inf")
+    for _ in range(REPEATS):  # interleaved, so host drift hits both
+        started = time.perf_counter()
+        _global_region(computation)
+        global_seconds = min(global_seconds, time.perf_counter() - started)
+        started = time.perf_counter()
+        _block_local_region(computation)
+        block_seconds = min(block_seconds, time.perf_counter() - started)
+    speedup = global_seconds / block_seconds
+    above, _, chains = _block_local_region(computation)
+    blocks = len(diagonal_blocks(above))
+
+    report_header(
+        f"Closure + chain partition, {len(computation)} messages in "
+        f"{blocks} blocks"
+    )
+    emit(f"global reference: {global_seconds:.3f}s")
+    emit(f"block-local:      {block_seconds:.3f}s")
+    emit(f"speedup: {speedup:.2f}x")
+    if SMOKE:
+        return
+    record_offline_perf(
+        f"blocks_{BLOCK_MESSAGES // 1000}k",
+        {
+            "workload": f"multi-cluster:{BLOCK_CLUSTERS}x8x22",
+            "messages": len(computation),
+            "blocks": blocks,
+            "width": len(chains),
+            "global_seconds": global_seconds,
+            "block_local_seconds": block_seconds,
+            "speedup": speedup,
+        },
+    )
+    emit(f"(gated: required >= {REQUIRED_BLOCK_SPEEDUP}x)")
+    assert speedup >= REQUIRED_BLOCK_SPEEDUP

@@ -1,9 +1,9 @@
 """Experiment batch — the piggyback wire-format shootout.
 
 Streams a 10^6-message federated workload (independent client/server
-clusters, the sharded engine's reference shape — ~100 edge groups
-after decomposition but each channel only ever sees its own cluster's
-slice of them) through ``stamp_batch_wire`` in each of the three wire
+clusters, ``multi_cluster_computation`` — ~100 edge groups after
+decomposition but each channel only ever sees its own cluster's slice
+of them) through ``stamp_batch_wire`` in each of the three wire
 formats and reports, per format:
 
 * **bytes/message** on the wire — offer leg + acknowledgement leg,
@@ -59,8 +59,8 @@ from repro.sim.workload import multi_cluster_computation, random_computation
 
 SMOKE = os.environ.get("BENCH_WIRE_SMOKE") == "1"
 
-#: The shootout topology: independent client/server clusters (the
-#: sharded engine's reference workload).  The decomposition is wide —
+#: The shootout topology: independent client/server clusters
+#: (``multi_cluster_computation``).  The decomposition is wide —
 #: one group per server hub across every cluster — but any one channel
 #: only ever moves its own cluster's components, so a full vector
 #: hauls ~``CLUSTERS * SERVERS`` varints per frame while the

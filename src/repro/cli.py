@@ -75,6 +75,24 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _load_trace(path: str):
+    """Parse a computation trace file for the trace subcommands.
+
+    A missing or unreadable file, malformed JSON, a missing key, or a
+    computation that breaks the model (a message naming an unknown
+    process, say) exits with a one-line error naming the file — never
+    a traceback.
+    """
+    try:
+        return computation_from_dict(_load_json(path))
+    except KeyError as exc:
+        raise SystemExit(f"bad trace {path!r}: missing key {exc}") from exc
+    except (
+        OSError, ValueError, TypeError, AttributeError, ReproError
+    ) as exc:
+        raise SystemExit(f"bad trace {path!r}: {exc}") from exc
+
+
 def _builtin_topology(spec: str):
     """Parse family specs like ``complete:6`` or ``client-server:2x10``.
 
@@ -114,11 +132,11 @@ def _resolve_topology(args) -> "object":
     raise SystemExit("provide --topology-file or --family")
 
 
-def _make_clock(name: str, topology, workers: int = 1):
+def _make_clock(name: str, topology):
     if name == "online":
-        return OnlineEdgeClock(decompose(topology), workers=workers)
+        return OnlineEdgeClock(decompose(topology))
     if name == "offline":
-        return OfflineRealizerClock(workers=workers)
+        return OfflineRealizerClock()
     if name == "fm":
         return FMMessageClock.for_topology(topology)
     if name == "lamport":
@@ -145,7 +163,7 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _stamp_wire(args, computation, workers: int) -> int:
+def _stamp_wire(args, computation) -> int:
     """``stamp --wire-format delta|bounded:K``: the codec fast path."""
     from repro.clocks.base import TimestampAssignment
     from repro.core.fastpath import stamp_batch_wire
@@ -159,11 +177,6 @@ def _stamp_wire(args, computation, workers: int) -> int:
         raise SystemExit(
             "--wire-format applies to the online edge clock only "
             f"(got --clock {args.clock})"
-        )
-    if workers != 1:
-        raise SystemExit(
-            "--wire-format keeps per-channel codec state and runs "
-            "serially; it cannot be combined with --workers"
         )
     try:
         kind, bound_k = parse_wire_format(args.wire_format)
@@ -220,17 +233,11 @@ def _stamp_wire(args, computation, workers: int) -> int:
 
 
 def cmd_stamp(args) -> int:
-    computation = computation_from_dict(_load_json(args.trace))
-    workers = getattr(args, "workers", 1)
-    if workers < 0:
-        raise SystemExit(
-            f"--workers must be >= 0, got {workers} "
-            "(0 = auto, 1 = serial, N = cap at N workers)"
-        )
+    computation = _load_trace(args.trace)
     wire_format = getattr(args, "wire_format", "full")
     if wire_format != "full":
-        return _stamp_wire(args, computation, workers)
-    clock = _make_clock(args.clock, computation.topology, workers=workers)
+        return _stamp_wire(args, computation)
+    clock = _make_clock(args.clock, computation.topology)
     assignment = clock.timestamp_computation(computation)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -254,7 +261,7 @@ def cmd_stamp(args) -> int:
 
 
 def cmd_check(args) -> int:
-    computation = computation_from_dict(_load_json(args.trace))
+    computation = _load_trace(args.trace)
     assignment = assignment_from_dict(
         computation, _load_json(args.assignment)
     )
@@ -275,7 +282,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    computation = computation_from_dict(_load_json(args.trace))
+    computation = _load_trace(args.trace)
     print(render_time_diagram(computation))
     return 0
 
@@ -283,7 +290,7 @@ def cmd_diagram(args) -> int:
 def cmd_profile(args) -> int:
     from repro.analysis.profile import profile_computation
 
-    computation = computation_from_dict(_load_json(args.trace))
+    computation = _load_trace(args.trace)
     profile = profile_computation(computation)
     print(
         render_table(
@@ -305,7 +312,7 @@ def cmd_profile(args) -> int:
 def cmd_orphans(args) -> int:
     from repro.apps.recovery import find_orphans
 
-    computation = computation_from_dict(_load_json(args.trace))
+    computation = _load_trace(args.trace)
     clock = _make_clock(args.clock, computation.topology)
     assignment = clock.timestamp_computation(computation)
     report = find_orphans(
@@ -979,15 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stamp_cmd.add_argument("--output", help="write assignment JSON here")
     stamp_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard stamping across worker processes (repro.core."
-        "parallel); 1 = serial (default), 0 = auto-size from the CPU "
-        "affinity mask, N = cap at N workers; output is byte-identical "
-        "to serial",
-    )
-    stamp_cmd.add_argument(
         "--wire-format",
         default="full",
         metavar="full|delta|bounded:K",
@@ -995,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'delta' sends per-channel differential frames with periodic "
         "resyncs (byte-identical timestamps), 'bounded:K' keeps the K "
         "hottest components exact and reports the measured "
-        "false-concurrency rate; serial only (no --workers)",
+        "false-concurrency rate",
     )
     stamp_cmd.set_defaults(handler=cmd_stamp)
 

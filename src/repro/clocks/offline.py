@@ -65,15 +65,17 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
                 f"unknown chain_strategy {chain_strategy!r}; "
                 "expected 'matching' or 'greedy'"
             )
+        # Stamping is serial; the keyword stays only so callers that
+        # pass ``workers=1`` keep working.
+        if workers != 1:
+            raise ValueError(
+                f"workers={workers!r} is not supported; stamping is "
+                "serial (only workers=1 is accepted)"
+            )
         #: "matching" uses the Dilworth-optimal partition (vector size =
         #: width); "greedy" peels longest chains — the DESIGN.md §6
         #: ablation, possibly producing more (= larger vectors).
         self._chain_strategy = chain_strategy
-        #: ``workers > 1`` (or 0 = auto) shards the closure and Dilworth
-        #: matching through :mod:`repro.core.parallel`; output stays
-        #: byte-identical and the serial path runs whenever the
-        #: computation has no causally independent row blocks.
-        self._workers = workers
         self._last_width: Optional[int] = None
         self._last_realizer: Optional[List[List[SyncMessage]]] = None
         self._last_chains: Optional[List[List[SyncMessage]]] = None
@@ -103,60 +105,21 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
         return [list(chain) for chain in self._last_chains]
 
     def timestamp_computation(
-        self,
-        computation: SyncComputation,
-        workers: Optional[int] = None,
+        self, computation: SyncComputation
     ) -> TimestampAssignment:
-        """Run the Figure 9 pipeline, optionally sharding phases 1–2.
-
-        ``workers`` (default: the constructor's setting) > 1 or 0 routes
-        the poset closure and — under the ``"matching"`` strategy — the
-        Dilworth chain partition through :mod:`repro.core.parallel`,
-        which splits the bitmask rows into causally independent
-        contiguous blocks.  Output is byte-identical to the serial
-        pipeline; when no block boundary exists (every prefix is tied
-        to its suffix by some cover edge) the serial path runs.
-        """
-        if workers is None:
-            workers = self._workers
-        chains: Optional[List[List[SyncMessage]]] = None
-        if workers is not None and workers != 1:
-            from repro.core.parallel import parallel_poset_and_chains
-
-            with _obs.span(
-                "offline.message_poset",
-                messages=len(computation),
-                workers=workers,
-            ):
-                sharded = parallel_poset_and_chains(
-                    computation,
-                    workers=workers,
-                    want_chains=self._chain_strategy == "matching",
-                )
-                if sharded is not None:
-                    poset, chains, _shards = sharded
-                else:
-                    poset = message_poset(computation)
-        else:
-            with _obs.span(
-                "offline.message_poset", messages=len(computation)
-            ):
-                poset = message_poset(computation)
-        return self.timestamp_poset(computation, poset, chains=chains)
+        with _obs.span(
+            "offline.message_poset", messages=len(computation)
+        ):
+            poset = message_poset(computation)
+        return self.timestamp_poset(computation, poset)
 
     def timestamp_poset(
-        self,
-        computation: SyncComputation,
-        poset: Poset,
-        chains: Optional[List[List[SyncMessage]]] = None,
+        self, computation: SyncComputation, poset: Poset
     ) -> TimestampAssignment:
         """Timestamp against a caller-supplied message poset.
 
         Exposed so benchmarks can reuse one ground-truth poset for both
-        the oracle check and the offline stamping.  ``chains`` may carry
-        a precomputed minimum chain partition of ``poset`` (the sharded
-        pipeline passes the merged per-block partition); when ``None``
-        the partition is computed here per the chain strategy.
+        the oracle check and the offline stamping.
         """
         if len(poset) == 0:
             self._last_width = 0
@@ -167,11 +130,8 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
             "offline.chain_partition",
             strategy=self._chain_strategy,
             messages=len(poset),
-            precomputed=chains is not None,
         ):
-            if chains is not None:
-                pass
-            elif self._chain_strategy == "matching":
+            if self._chain_strategy == "matching":
                 chains = minimum_chain_partition(poset)
             else:
                 chains = greedy_chain_partition(poset)

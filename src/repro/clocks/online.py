@@ -152,8 +152,14 @@ class OnlineEdgeClock(MessageTimestamper[VectorTimestamp]):
         topology_decomposition: EdgeDecomposition,
         workers: int = 1,
     ):
+        # Stamping is serial; the keyword stays only so callers that
+        # pass ``workers=1`` keep working.
+        if workers != 1:
+            raise ValueError(
+                f"workers={workers!r} is not supported; stamping is "
+                "serial (only workers=1 is accepted)"
+            )
         self._decomposition = topology_decomposition
-        self._workers = workers
         m = _obs.metrics
         if m is not None:
             m.vector_component_count.set(topology_decomposition.size)
@@ -179,9 +185,7 @@ class OnlineEdgeClock(MessageTimestamper[VectorTimestamp]):
         )
 
     def timestamp_computation(
-        self,
-        computation: SyncComputation,
-        workers: "int | None" = None,
+        self, computation: SyncComputation
     ) -> TimestampAssignment:
         """Timestamp every message via the batch fast path.
 
@@ -190,33 +194,17 @@ class OnlineEdgeClock(MessageTimestamper[VectorTimestamp]):
         handshake without the per-hop tuple and dict churn.  The result
         — timestamps *and* ``_obs`` counter values — is identical to
         :meth:`timestamp_computation_handshake`.
-
-        ``workers`` (default: the constructor's setting) routes through
-        the sharding engine of :mod:`repro.core.parallel` when > 1 — the
-        computation is split into process-disjoint segments that stamp
-        independently with byte-identical output; ``0`` sizes the pool
-        from the CPU affinity mask, and ``1`` keeps the serial path.
         """
         if computation.topology is not self._decomposition.graph:
             _check_same_topology(
                 computation.topology, self._decomposition.graph
             )
-        if workers is None:
-            workers = self._workers
         with _obs.span(
             "online.timestamp_computation",
             messages=len(computation.messages),
             vector_size=self._decomposition.size,
-            workers=workers,
         ):
-            if workers is not None and workers != 1:
-                from repro.core.parallel import stamp_batch_parallel
-
-                timestamps = stamp_batch_parallel(
-                    computation, self._decomposition, workers=workers
-                )
-            else:
-                timestamps = stamp_batch(computation, self._decomposition)
+            timestamps = stamp_batch(computation, self._decomposition)
         aud = _audit.auditor
         if aud is not None:
             # Read-only cross-check; the audit never mutates the

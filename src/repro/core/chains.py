@@ -12,7 +12,9 @@ matching (Fulkerson):
 in the bipartite graph with a left and a right copy of every element and
 an edge ``x_left — y_right`` whenever ``x < y``.  The matching is found
 with our own Hopcroft–Karp implementation — no external graph library is
-involved.
+involved — run on each diagonal block of the order in block-local index
+space (:meth:`BipartiteMatcher.from_diagonal_blocks`), which finds the
+same matching with block-sized bitmasks.
 
 The module also extracts a *maximum antichain* (the width witness) from a
 minimum vertex cover via Kőnig's theorem, and offers a greedy
@@ -25,7 +27,7 @@ import weakref
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.poset import Poset
+from repro.core.poset import Poset, block_rows, diagonal_blocks
 from repro.exceptions import PosetError
 
 Element = Hashable
@@ -123,6 +125,39 @@ class BipartiteMatcher:
         matcher._solved = False
         return matcher
 
+    @classmethod
+    def from_diagonal_blocks(
+        cls, values: Sequence[Element], rows: Sequence[int]
+    ) -> "BipartiteMatcher":
+        """A solved square matcher over ``rows``, one block at a time.
+
+        ``values`` label both sides and bit ``j`` of ``rows[i]`` marks
+        an edge ``values[i] — values[j]``.  Hopcroft–Karp runs on each
+        :func:`~repro.core.poset.diagonal_blocks` block in block-local
+        index space, and the block matchings are merged by offset.  No
+        edge leaves its block, so no BFS layer or augmenting path does
+        either, and each block's phases make the same choices as that
+        block's share of one run over all rows: the merged matching is
+        the one :meth:`from_bitmask_rows` finds, while every mask
+        operation works on block-sized integers.
+        """
+        matcher = cls.from_bitmask_rows(values, values, rows)
+        match_left = matcher._match_left
+        match_right = matcher._match_right
+        for lo, hi in diagonal_blocks(rows):
+            span = range(hi - lo)
+            block = cls.from_bitmask_rows(
+                span, span, block_rows(rows, lo, hi)
+            )
+            block._ensure_solved()
+            for i, j in enumerate(block._match_left):
+                if j != _FREE:
+                    match_left[lo + i] = lo + j
+                    match_right[lo + j] = lo + i
+            matcher._matching_size += block._matching_size
+        matcher._solved = True
+        return matcher
+
     def _init_from_indices(
         self,
         left_values: List[Element],
@@ -180,17 +215,6 @@ class BipartiteMatcher:
     def matching_size(self) -> int:
         self._ensure_solved()
         return self._matching_size
-
-    def left_match_indices(self) -> List[int]:
-        """Matched right *index* per left index (``-1`` = unmatched).
-
-        Index-level access for callers that work in positional space —
-        the sharded chain partition merges per-block matchings by
-        offsetting these indices into global positions without ever
-        hashing element values.
-        """
-        self._ensure_solved()
-        return list(self._match_left)
 
     # ------------------------------------------------------------------
     def _bfs_layers(self) -> Optional[List[int]]:
@@ -439,8 +463,8 @@ def _comparability_matcher(poset: Poset) -> BipartiteMatcher:
         # cached successor index, which yields the same matching.
         rows = getattr(poset, "above_bit_rows", None)
         if rows is not None:
-            matcher = BipartiteMatcher.from_bitmask_rows(
-                elements, elements, rows()
+            matcher = BipartiteMatcher.from_diagonal_blocks(
+                elements, rows()
             )
         else:
             matcher = BipartiteMatcher.from_adjacency_lists(

@@ -18,10 +18,12 @@ Internally the strict order is stored as two arrays of arbitrary-
 precision integer bitmasks indexed by insertion position: bit ``j`` of
 ``_above_bits[i]`` is set exactly when ``elements[i] < elements[j]``,
 and ``_below_bits`` is the transpose.  Transitive closure is a
-word-parallel OR-sweep over a topological order, the covering relation
-is a per-row mask subtraction, and pair enumerations are bit
-extractions — the representation that makes the offline (Figure 9)
-pipeline fast at scale.  ``tests/properties`` pins this kernel as
+word-parallel OR-sweep over a topological order, run on each diagonal
+block of the relation in block-local index space
+(:func:`diagonal_blocks`), the covering relation is a per-row mask
+subtraction, and pair enumerations are bit extractions — the
+representation that makes the offline (Figure 9) pipeline fast at
+scale.  ``tests/properties`` pins this kernel as
 observationally identical to the reference dict-of-sets implementation
 kept in :mod:`repro.core.poset_reference`.
 
@@ -517,20 +519,89 @@ class Poset:
         )
 
 
+def diagonal_blocks(rows: Sequence[int]) -> List[Tuple[int, int]]:
+    """Cut positions ``0..n-1`` wherever no relation spans the cut.
+
+    Bit ``j`` of ``rows[i]`` relates positions ``i`` and ``j``; the
+    relation *spans* every position ``p`` with
+    ``min(i, j) < p <= max(i, j)``.  Returns the consecutive, covering
+    ``(lo, hi)`` ranges between the cuts, so every relation lies inside
+    one block and the rows are block diagonal.  Direct and closed rows
+    of the same order give the same blocks: a closed pair spans only
+    positions that some chain of direct pairs spans.
+
+    ``▷`` relates only messages with a common process, so the message
+    poset of clusters that share no process has at least one block per
+    cluster; a poset with no cut is one block.
+    """
+    # reach[s]: the farthest end of any relation starting at s.
+    reach = list(range(len(rows)))
+    for i, row in enumerate(rows):
+        if row:
+            start = (row & -row).bit_length() - 1
+            end = row.bit_length() - 1
+            if start > i:
+                start = i
+            if end < i:
+                end = i
+            if end > reach[start]:
+                reach[start] = end
+    blocks: List[Tuple[int, int]] = []
+    lo = 0
+    frontier = 0
+    for i, end in enumerate(reach):
+        if end > frontier:
+            frontier = end
+        if frontier == i:
+            blocks.append((lo, i + 1))
+            lo = i + 1
+    return blocks
+
+
 def close_transitive_rows(
     direct: Sequence[int],
 ) -> Tuple[List[int], List[int]]:
     """Transitive closure of ``direct`` as ``(above, below)`` bitmask rows.
+
+    Closes each :func:`diagonal_blocks` block on its own, in block-local
+    index space: the block's rows are shifted down to start at bit 0,
+    closed, and shifted back.  The closure of a block-diagonal relation
+    is the union of the blocks' closures, so the rows equal a sweep
+    over all rows at once, while every OR works on block-sized integers
+    instead of poset-sized ones.
+    """
+    n = len(direct)
+    above = [0] * n
+    below = [0] * n
+    for lo, hi in diagonal_blocks(direct):
+        block_above, block_below = _close_block(block_rows(direct, lo, hi))
+        if lo:
+            block_above = [row << lo for row in block_above]
+            block_below = [row << lo for row in block_below]
+        above[lo:hi] = block_above
+        below[lo:hi] = block_below
+    return above, below
+
+
+def block_rows(rows: Sequence[int], lo: int, hi: int) -> List[int]:
+    """Rows ``lo..hi-1`` of one diagonal block, shifted to start at bit 0.
+
+    The first block already starts there; shifting by 0 would copy
+    every row, so its rows come back unshifted.
+    """
+    if lo:
+        return [row >> lo for row in rows[lo:hi]]
+    return list(rows[:hi])
+
+
+def _close_block(direct: List[int]) -> Tuple[List[int], List[int]]:
+    """Closure of one block's rows, indexed from 0.
 
     Processes positions in reverse topological order so each row is the
     word-parallel OR of its direct successors' rows; the below rows come
     from a forward sweep over the (cheap to transpose) direct relation.
     A cycle is detected by the topological sort running short and raises
     :class:`NotAPartialOrderError`.
-
-    Module-level so :class:`Poset` construction and the sharded engine
-    (:mod:`repro.core.parallel`, which closes forward-closed row blocks
-    in block-local index space) run the exact same sweep.
     """
     order = _topological_order_positions(direct)
     if order is None:

@@ -62,16 +62,6 @@ class RuntimeDeadlockError(SimulationError):
     """The threaded rendezvous runtime detected that no progress is possible."""
 
 
-class ParallelExecutionError(ReproError):
-    """A worker process of the sharded stamping engine failed.
-
-    Raised by :mod:`repro.core.parallel` when a worker crashes (the pool
-    breaks) or raises a non-:class:`ReproError` exception; library
-    errors raised inside a worker (e.g. :class:`PosetError`) propagate
-    unchanged.  The merge never runs on partial results.
-    """
-
-
 class ClockError(ReproError):
     """A problem while assigning or comparing timestamps."""
 

@@ -197,18 +197,6 @@ class ObsMetrics:
             "Deadlock-suspicion episodes raised by running the "
             "wait-for analysis over the live partial flight record",
         )
-        self.parallel_shards_total = registry.counter(
-            "parallel_shards_total",
-            "Causally independent shards executed by the parallel "
-            "stamping/closure engine (repro.core.parallel)",
-        )
-        self.parallel_merge_seconds = registry.histogram(
-            "parallel_merge_seconds",
-            buckets=DURATION_BUCKETS,
-            help="Wall-clock seconds spent merging shard results back "
-            "into the serial-identical output (timestamps, closed rows, "
-            "chain partition)",
-        )
         self.rendezvous_block_quantiles = registry.summary(
             "rendezvous_block_quantile_seconds",
             help="Streaming p50/p95/p99 of per-side rendezvous "

@@ -285,9 +285,7 @@ def multi_cluster_computation(
     clusters' message sequences are concatenated in cluster order.  The
     result models a federated deployment — the paper's causality cannot
     cross clusters that share no process, so the message poset is block
-    diagonal.  This is the reference workload of the sharded stamping
-    engine (:mod:`repro.core.parallel`): its segment and row-block
-    planners find exactly ``cluster_count`` shards here.
+    diagonal, with at least one block per cluster that carries messages.
     """
     if cluster_count <= 0:
         raise InvalidComputationError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from repro.clocks.offline import (
 from repro.core.chains import width
 from repro.core.linear_extensions import is_realizer
 from repro.graphs.generators import (
+    client_server_topology,
     complete_topology,
     path_topology,
     star_topology,
@@ -22,8 +25,10 @@ from repro.order.checker import check_encoding
 from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation
 from repro.sim.paper_figures import figure6_computation
+from repro.sim.trace_io import assignment_to_dict
 from repro.sim.workload import (
     adversarial_antichain_computation,
+    multi_cluster_computation,
     random_computation,
     sequential_chain_computation,
 )
@@ -146,3 +151,55 @@ class TestVectorProperties:
         topology = star_topology(5)
         computation = random_computation(topology, 15, random.Random(2))
         assert offline_vector_size(computation) == 1
+
+
+def _sha256_json(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestPinnedOutputs:
+    """SHA-256 digests of Figure 9 output on block-diagonal posets.
+
+    Closure and matching work one diagonal block at a time, so these
+    inputs pin that the block-local results are byte-identical to the
+    global ones: the timestamp file (``assignment_to_dict`` with sorted
+    keys) and the minimum chain partition (message names per chain, in
+    order).  The federated cases have 8 and 16 blocks; the
+    client-server case is one block.
+    """
+
+    CASES = {
+        "federated-8x500": (
+            lambda: multi_cluster_computation(8, 500, random.Random(11)),
+            "8f5fa10bed97253ec3c2f44bdac9ff8febc99876efb084fd53076e2ae7ec26e3",
+            "895427a612723e575844206dc412f01c27e75dfcb9ab5a3a26d28c4ff779d982",
+        ),
+        "federated-16x125": (
+            lambda: multi_cluster_computation(16, 125, random.Random(7)),
+            "bb7f4baf1074f4e812231a5d30afb8d36e3eded9d356ead8f132d412e013b6d7",
+            "f380912ab4822dc0f76db57391480bced4fb60df76d8f9324645ba9557ca18cf",
+        ),
+        "client-server-3x27": (
+            lambda: random_computation(
+                client_server_topology(3, 27), 2000, random.Random(11)
+            ),
+            "e22a841465eac3833ef9ca08fbfa2b108ce0eaacae6857da07ce72fa9144b16c",
+            "a352f19ced48d041253d2bce6b26d47f9c99d293c86126c3d53fa42b5a534253",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digests(self, name):
+        build, timestamps_digest, chains_digest = self.CASES[name]
+        clock = OfflineRealizerClock()
+        assignment = clock.timestamp_computation(build())
+        assert _sha256_json(assignment_to_dict(assignment)) == (
+            timestamps_digest
+        )
+        chains = [
+            [message.name for message in chain]
+            for chain in clock.chain_partition
+        ]
+        assert _sha256_json(chains) == chains_digest

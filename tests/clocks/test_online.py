@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.clocks.offline import OfflineRealizerClock
 from repro.clocks.online import OnlineEdgeClock, OnlineProcessClock
 from repro.core.vector import VectorTimestamp
 from repro.exceptions import ClockError
@@ -169,3 +170,28 @@ class TestOverheadClaims:
         for n in (4, 5, 7):
             clock = OnlineEdgeClock(decompose(complete_topology(n)))
             assert clock.timestamp_size == n - 2
+
+
+class TestWorkersKeyword:
+    """Stamping is serial: both clocks accept ``workers=1`` only."""
+
+    @pytest.mark.parametrize("workers", [0, 2, 4, -1])
+    def test_other_values_rejected(self, workers):
+        decomposition = decompose(path_topology(3))
+        with pytest.raises(ValueError, match="only workers=1"):
+            OnlineEdgeClock(decomposition, workers=workers)
+        with pytest.raises(ValueError, match="only workers=1"):
+            OfflineRealizerClock(workers=workers)
+
+    def test_one_is_accepted(self):
+        computation = random_computation(
+            path_topology(4), 20, random.Random(3)
+        )
+        for clock in (
+            OnlineEdgeClock(decompose(computation.topology), workers=1),
+            OfflineRealizerClock(workers=1),
+        ):
+            report = check_encoding(
+                clock, clock.timestamp_computation(computation)
+            )
+            assert report.characterizes

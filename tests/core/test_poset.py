@@ -43,6 +43,9 @@ class TestConstruction:
     def test_cycle_rejected(self):
         with pytest.raises(NotAPartialOrderError):
             Poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+        # A cycle in a later diagonal block is found too.
+        with pytest.raises(NotAPartialOrderError):
+            Poset("abcde", [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c")])
 
     def test_transitive_closure_computed(self):
         poset = Poset("abc", [("a", "b"), ("b", "c")])

@@ -77,7 +77,6 @@ class TestLoading:
             "offline",
             "lattice",
             "runtime",
-            "parallel",
             "wire",
         }
         assert len(merged.gated_metrics()) >= 10

@@ -1,47 +1,36 @@
-"""Property-based parity of the sharded stamping engine.
+"""Block-local closure and matching equal their global references.
 
-The contract of :mod:`repro.core.parallel` is *byte-identical output*:
-for any computation and any worker count, the sharded online stamper
-and the sharded offline closure/partition must reproduce the serial
-paths exactly — timestamps (values and component types), closed bitmask
-rows, realizer width, chain partition, and ``_obs`` counter totals.
-The properties below pin that down on random inputs, including
-computations with no shardable structure (where the engine must fall
-back to serial), and the crash tests assert that a dying or raising
-worker surfaces as a clean exception with no partial merge and no hang.
+:func:`repro.core.poset.close_transitive_rows` and the comparability
+matcher behind :func:`~repro.core.chains.minimum_chain_partition`,
+:func:`~repro.core.chains.width` and
+:func:`~repro.core.chains.maximum_antichain` cut the order into the
+diagonal blocks of :func:`~repro.core.poset.diagonal_blocks` and work
+on each block in its own index space.  The properties below check the
+results against references that never cut: the dict-of-sets
+:class:`~repro.core.poset_reference.ReferencePoset` (its closure, and
+the adjacency-list Hopcroft–Karp run over all of it) and a quadratic
+span scan kept in this file.  They run on clustered computations (one
+block per cluster or more) and on random posets whose insertion order
+is not topological, with one block and with several.
 """
 
 from __future__ import annotations
 
-import os
+import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.clocks.offline import OfflineRealizerClock
-from repro.clocks.online import OnlineEdgeClock
-from repro.core import parallel as parallel_mod
-from repro.core.chains import minimum_chain_partition
-from repro.core.fastpath import stamp_batch
-from repro.core.parallel import (
-    ParallelExecutionError,
-    available_workers,
-    parallel_poset_and_chains,
-    plan_process_segments,
-    plan_row_blocks,
-    resolve_workers,
-    stamp_batch_parallel,
+from repro.core.chains import (
+    maximum_antichain,
+    minimum_chain_partition,
+    width,
 )
-from repro.exceptions import PosetError
-from repro.graphs.decomposition import decompose
-from repro.obs import instrument
-from repro.obs.metrics import MetricsRegistry
-from repro.order.message_order import covering_pairs, message_poset
-from repro.sim.workload import multi_cluster_computation
-from tests.strategies import (
-    clustered_computations,
-    decomposed_computations,
-)
+from repro.core.poset import Poset, diagonal_blocks
+from repro.core.poset_reference import ReferencePoset
+from repro.order.message_order import covering_pairs
+from tests.strategies import clustered_computations, computations
 
 RELAXED = settings(
     max_examples=40,
@@ -49,310 +38,156 @@ RELAXED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-WORKER_COUNTS = (1, 2, 4)
 
+@st.composite
+def backward_posets(draw, max_blocks: int = 4, max_block_size: int = 8):
+    """``(elements, pairs)``: a random order, inserted out of order.
 
-def _drop_parallel_keys(snapshot):
-    return {
-        name: value
-        for name, value in snapshot.items()
-        if name not in ("parallel_shards_total", "parallel_merge_seconds")
-    }
-
-
-def _fixed_cluster_computation(clusters=3, per_cluster=40):
-    import random
-
-    return multi_cluster_computation(
-        clusters,
-        per_cluster,
-        random.Random(7),
-        server_count=2,
-        client_count=4,
+    Each block is a random DAG over a hidden random ranking of its
+    positions, so many pairs point backwards in insertion order; the
+    blocks are concatenated and share no pair.
+    """
+    sizes = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=max_block_size),
+            min_size=1,
+            max_size=max_blocks,
+        )
     )
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    pairs = []
+    lo = 0
+    for size in sizes:
+        ranked = list(range(lo, lo + size))
+        rng.shuffle(ranked)
+        for a in range(size):
+            for b in range(a + 1, size):
+                if rng.random() < density:
+                    pairs.append((ranked[a], ranked[b]))
+        lo += size
+    return list(range(lo)), pairs
 
 
-class TestOnlineParity:
-    @RELAXED
-    @given(decomposed_computations(max_messages=30))
-    def test_timestamps_byte_identical(self, case):
-        computation, decomposition = case
-        serial = stamp_batch(computation, decomposition)
-        for workers in WORKER_COUNTS:
-            sharded = stamp_batch_parallel(
-                computation, decomposition, workers=workers
-            )
-            assert list(sharded) == list(serial)
-            for message in computation.messages:
-                assert sharded[message] == serial[message]
-                assert (
-                    sharded[message].components
-                    == serial[message].components
-                )
-                assert [
-                    type(c) for c in sharded[message].components
-                ] == [type(c) for c in serial[message].components]
+def _rows(reference: ReferencePoset):
+    """The reference closure as above/below bitmask rows."""
+    index = {element: i for i, element in enumerate(reference.elements)}
+    above = [
+        sum(1 << index[y] for y in reference.strictly_above(x))
+        for x in reference.elements
+    ]
+    below = [
+        sum(1 << index[y] for y in reference.strictly_below(x))
+        for x in reference.elements
+    ]
+    return tuple(above), tuple(below)
 
-    @RELAXED
-    @given(clustered_computations())
-    def test_clustered_timestamps_byte_identical(self, computation):
-        decomposition = decompose(computation.topology)
-        serial = stamp_batch(computation, decomposition)
-        for workers in WORKER_COUNTS:
-            sharded = stamp_batch_parallel(
-                computation, decomposition, workers=workers
-            )
-            assert list(sharded) == list(serial)
-            assert all(
-                sharded[m].components == serial[m].components
-                for m in computation.messages
-            )
 
-    @RELAXED
-    @given(clustered_computations())
-    def test_obs_counters_identical(self, computation):
-        decomposition = decompose(computation.topology)
-        with instrument.enabled_session(MetricsRegistry()) as bundle:
-            stamp_batch(computation, decomposition)
-            serial_snapshot = bundle.registry.snapshot()
-        for workers in WORKER_COUNTS:
-            with instrument.enabled_session(MetricsRegistry()) as bundle:
-                stamp_batch_parallel(
-                    computation, decomposition, workers=workers
-                )
-                sharded_snapshot = bundle.registry.snapshot()
-            assert _drop_parallel_keys(
-                sharded_snapshot
-            ) == _drop_parallel_keys(serial_snapshot)
+def _reference_blocks(n, index_pairs):
+    """Split ``0..n-1`` at every position no pair spans."""
+    spanned = [False] * (n + 1)
+    for a, b in index_pairs:
+        for p in range(min(a, b) + 1, max(a, b) + 1):
+            spanned[p] = True
+    bounds = [0] + [p for p in range(1, n) if not spanned[p]] + [n]
+    return list(zip(bounds, bounds[1:])) if n else []
 
-    @RELAXED
-    @given(clustered_computations())
-    def test_segments_partition_the_messages(self, computation):
-        segments = plan_process_segments(computation)
-        flat = sorted(p for segment in segments for p in segment)
-        assert flat == list(range(len(computation.messages)))
-        owners = {}
-        for number, segment in enumerate(segments):
-            for position in segment:
-                message = computation.messages[position]
-                for process in (message.sender, message.receiver):
-                    assert owners.setdefault(process, number) == number
+
+def _check_against_reference(elements, pairs):
+    poset = Poset(elements, pairs)
+    reference = ReferencePoset(elements, pairs)
+    assert (poset.above_bit_rows(), poset.below_bit_rows()) == _rows(
+        reference
+    )
+    chains = minimum_chain_partition(poset)
+    assert chains == minimum_chain_partition(reference)
+    assert width(poset) == len(chains)
+    antichain = maximum_antichain(poset)
+    assert len(antichain) == len(chains)
+    assert reference.is_antichain(antichain)
+
+
+def _check_blocks(elements, pairs):
+    index = {element: i for i, element in enumerate(elements)}
+    index_pairs = [(index[a], index[b]) for a, b in pairs]
+    n = len(elements)
+    direct = [0] * n
+    for a, b in index_pairs:
+        direct[a] |= 1 << b
+    poset = Poset(elements, pairs)
+    blocks = diagonal_blocks(direct)
+    assert blocks == _reference_blocks(n, index_pairs)
+    assert diagonal_blocks(poset.above_bit_rows()) == blocks
+    if n:
+        assert blocks[0][0] == 0
+        assert blocks[-1][1] == n
+    assert all(
+        previous[1] == current[0]
+        for previous, current in zip(blocks, blocks[1:])
+    )
+    block_of = {}
+    for number, (lo, hi) in enumerate(blocks):
+        for position in range(lo, hi):
+            block_of[position] = number
+    for x, y in poset.relation_pairs():
+        assert block_of[index[x]] == block_of[index[y]]
+    return blocks
 
 
 class TestOfflineParity:
     @RELAXED
     @given(clustered_computations())
     def test_closure_rows_chains_and_width_identical(self, computation):
-        poset = message_poset(computation)
-        chains = minimum_chain_partition(poset)
-        for workers in (2, 4):
-            sharded = parallel_poset_and_chains(
-                computation, workers=workers
-            )
-            if sharded is None:
-                plan = plan_row_blocks(
-                    computation.messages, covering_pairs(computation)
-                )
-                assert plan is None
-                continue
-            sharded_poset, sharded_chains, shard_count = sharded
-            assert shard_count >= 2
-            assert list(sharded_poset.elements) == list(poset.elements)
-            assert (
-                sharded_poset.above_bit_rows() == poset.above_bit_rows()
-            )
-            assert (
-                sharded_poset.below_bit_rows() == poset.below_bit_rows()
-            )
-            assert sharded_chains == chains
-            assert len(sharded_chains) == len(chains)
+        _check_against_reference(
+            computation.messages, covering_pairs(computation)
+        )
+
+    @RELAXED
+    @given(backward_posets())
+    def test_backward_posets_match_the_reference(self, case):
+        elements, pairs = case
+        _check_against_reference(elements, pairs)
 
     @RELAXED
     @given(clustered_computations())
     def test_offline_clock_timestamps_identical(self, computation):
-        serial = OfflineRealizerClock().timestamp_computation(computation)
-        for workers in WORKER_COUNTS:
-            sharded = OfflineRealizerClock(
-                workers=workers
-            ).timestamp_computation(computation)
-            for message in computation.messages:
-                assert sharded.of(message) == serial.of(message)
-                assert (
-                    sharded.of(message).components
-                    == serial.of(message).components
-                )
+        clock = OfflineRealizerClock()
+        assignment = clock.timestamp_computation(computation)
+        reference_clock = OfflineRealizerClock()
+        reference = reference_clock.timestamp_poset(
+            computation,
+            ReferencePoset(
+                computation.messages, covering_pairs(computation)
+            ),
+        )
+        assert clock.chain_partition == reference_clock.chain_partition
+        for message in computation.messages:
+            assert (
+                assignment.of(message).components
+                == reference.of(message).components
+            )
 
     @RELAXED
-    @given(decomposed_computations(max_messages=30))
-    def test_arbitrary_computations_round_trip(self, case):
-        computation, _ = case
-        serial = OfflineRealizerClock().timestamp_computation(computation)
-        sharded = OfflineRealizerClock(
-            workers=4
-        ).timestamp_computation(computation)
-        for message in computation.messages:
-            assert sharded.of(message) == serial.of(message)
+    @given(computations(max_messages=30))
+    def test_arbitrary_computations_round_trip(self, computation):
+        _check_against_reference(
+            computation.messages, covering_pairs(computation)
+        )
 
     @RELAXED
     @given(clustered_computations())
     def test_row_blocks_cover_and_respect_causality(self, computation):
-        plan = plan_row_blocks(
+        blocks = _check_blocks(
             computation.messages, covering_pairs(computation)
         )
-        if plan is None:
-            return
-        index = {m: i for i, m in enumerate(computation.messages)}
-        spans = plan.blocks
-        assert spans[0][0] == 0
-        assert spans[-1][1] == len(computation.messages)
-        assert all(
-            previous[1] == current[0]
-            for previous, current in zip(spans, spans[1:])
-        )
-        block_of = {}
-        for number, (lo, hi) in enumerate(spans):
-            for position in range(lo, hi):
-                block_of[position] = number
-        for smaller, larger in covering_pairs(computation):
-            assert block_of[index[smaller]] == block_of[index[larger]]
+        # Clusters share no process, so each one adds at least a block.
+        clusters = {
+            message.sender.split("_")[0] for message in computation.messages
+        }
+        assert len(blocks) >= len(clusters)
 
-
-class TestWorkerResolution:
-    def test_resolve_workers(self):
-        assert resolve_workers(None) == 1
-        assert resolve_workers(1) == 1
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == available_workers()
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-
-    def test_available_workers_positive(self):
-        assert available_workers() >= 1
-
-    def test_online_clock_threads_workers_through(self):
-        computation = _fixed_cluster_computation()
-        decomposition = decompose(computation.topology)
-        serial = OnlineEdgeClock(decomposition).timestamp_computation(
-            computation
-        )
-        auto = OnlineEdgeClock(
-            decomposition, workers=0
-        ).timestamp_computation(computation)
-        assert all(
-            auto.of(m) == serial.of(m) for m in computation.messages
-        )
-
-
-class TestProcessBackend:
-    """Fixed-workload parity through real worker processes."""
-
-    def test_online_process_backend_identical(self):
-        computation = _fixed_cluster_computation()
-        decomposition = decompose(computation.topology)
-        serial = stamp_batch(computation, decomposition)
-        sharded = stamp_batch_parallel(
-            computation, decomposition, workers=2, backend="process"
-        )
-        assert list(sharded) == list(serial)
-        assert all(
-            sharded[m].components == serial[m].components
-            for m in computation.messages
-        )
-
-    def test_offline_process_backend_identical(self):
-        computation = _fixed_cluster_computation()
-        poset = message_poset(computation)
-        sharded = parallel_poset_and_chains(
-            computation, workers=2, backend="process"
-        )
-        assert sharded is not None
-        sharded_poset, sharded_chains, _ = sharded
-        assert sharded_poset.above_bit_rows() == poset.above_bit_rows()
-        assert sharded_poset.below_bit_rows() == poset.below_bit_rows()
-        assert sharded_chains == minimum_chain_partition(poset)
-
-    def test_unknown_backend_rejected(self):
-        computation = _fixed_cluster_computation()
-        with pytest.raises(ValueError):
-            parallel_poset_and_chains(
-                computation, workers=2, backend="threads"
-            )
-
-
-# Crash-test stand-ins for the worker job functions.  They live at
-# module scope so the process pool can pickle them by qualified name
-# (the forked children already have this module imported).
-def _exit_job(payload):  # pragma: no cover - runs in a worker
-    os._exit(3)
-
-
-def _value_error_job(payload):
-    raise ValueError("synthetic worker explosion")
-
-
-def _poset_error_job(payload):
-    raise PosetError("synthetic library failure inside a worker")
-
-
-class TestWorkerCrashes:
-    """A dying worker must fail loudly: no hang, no partial merge."""
-
-    def _computation(self):
-        return _fixed_cluster_computation(clusters=2, per_cluster=10)
-
-    def test_killed_worker_raises_parallel_execution_error(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(
-            parallel_mod, "_offline_block_job", _exit_job
-        )
-        with pytest.raises(ParallelExecutionError):
-            parallel_poset_and_chains(
-                self._computation(), workers=2, backend="process"
-            )
-
-    def test_foreign_exception_is_wrapped(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_mod, "_offline_block_job", _value_error_job
-        )
-        with pytest.raises(ParallelExecutionError) as excinfo:
-            parallel_poset_and_chains(
-                self._computation(), workers=2, backend="process"
-            )
-        assert "no partial results" in str(excinfo.value)
-
-    def test_library_error_propagates_unchanged(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_mod, "_offline_block_job", _poset_error_job
-        )
-        with pytest.raises(PosetError):
-            parallel_poset_and_chains(
-                self._computation(), workers=2, backend="process"
-            )
-
-    def test_online_killed_worker_raises(self, monkeypatch):
-        computation = self._computation()
-        decomposition = decompose(computation.topology)
-        monkeypatch.setattr(
-            parallel_mod, "_stamp_segment_job", _exit_job
-        )
-        with pytest.raises(ParallelExecutionError):
-            stamp_batch_parallel(
-                computation, decomposition, workers=2, backend="process"
-            )
-
-    def test_inline_backend_untouched_by_pool_failures(
-        self, monkeypatch
-    ):
-        # The inline backend never launches processes, so a broken
-        # pool scenario cannot arise; the serial-identical answer
-        # still comes back.
-        computation = self._computation()
-        serial_poset = message_poset(computation)
-        sharded = parallel_poset_and_chains(
-            computation, workers=2, backend="inline"
-        )
-        assert sharded is not None
-        assert (
-            sharded[0].above_bit_rows() == serial_poset.above_bit_rows()
-        )
+    @RELAXED
+    @given(backward_posets())
+    def test_backward_posets_cut_where_nothing_spans(self, case):
+        elements, pairs = case
+        _check_blocks(elements, pairs)

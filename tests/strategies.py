@@ -87,9 +87,9 @@ def clustered_computations(
 ):
     """A multi-cluster computation with causally independent blocks.
 
-    Exercises the sharding engine's planners with a guaranteed-shardable
-    shape (several disjoint client/server cells) at property-test sizes;
-    the cell dimensions stay small so closures remain cheap.
+    Several disjoint client/server cells give a block-diagonal message
+    poset at property-test sizes; the cell dimensions stay small so
+    closures remain cheap.
     """
     clusters = draw(st.integers(min_value=1, max_value=max_clusters))
     per_cluster = draw(

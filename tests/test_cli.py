@@ -342,6 +342,57 @@ class TestMalformedFamilySpecs:
         assert "bad topology spec" in str(excinfo.value.code)
 
 
+class TestMalformedTraces:
+    """Every trace subcommand exits with one line naming the file."""
+
+    BREAKAGES = {
+        "no-messages": (
+            lambda data: data.pop("messages"),
+            "missing key 'messages'",
+        ),
+        "no-receiver": (
+            lambda data: data["messages"][0].pop("receiver"),
+            "missing key 'receiver'",
+        ),
+        "unknown-process": (
+            lambda data: data["messages"][0].update(receiver="P99"),
+            "'P99' of message m1 is not in the system",
+        ),
+    }
+
+    COMMANDS = {
+        "stamp": [],
+        "check": ["assignment.json"],
+        "diagram": [],
+        "profile": [],
+        "orphans": ["P1"],
+    }
+
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_line_error(self, trace_file, tmp_path, command, breakage):
+        path, _ = trace_file
+        data = json.loads(path.read_text())
+        corrupt, expected = self.BREAKAGES[breakage]
+        corrupt(data)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(broken), *self.COMMANDS[command]])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"bad trace {str(broken)!r}: ")
+        assert expected in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit, match="bad trace"):
+            main(["stamp", str(path)])
+
+
 class TestObsReport:
     def _bench_dir(self, tmp_path, per_sec):
         bench = tmp_path / f"BENCH_x_{per_sec}"
@@ -362,11 +413,10 @@ class TestObsReport:
             "offline",
             "lattice",
             "runtime",
-            "parallel",
             "wire",
         ):
             assert source in out
-        assert "7 snapshot(s)" in out
+        assert "6 snapshot(s)" in out
 
     def test_gate_fails_on_doctored_baseline(self, tmp_path, capsys):
         """Acceptance: a doctored baseline with a >20% regression makes
