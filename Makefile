@@ -67,7 +67,8 @@ bench-batch:
 	$(PYTHON) -m pytest benchmarks/test_bench_batch.py -q
 
 # Old-vs-new offline (Figure 9) kernel snapshot plus the gated
-# block-local closure + partition region; refreshes BENCH_offline.json.
+# block-local closure + partition and shared-realizer regions;
+# refreshes BENCH_offline.json.
 # Set BENCH_OFFLINE_SMOKE=1 for a quick one-round run that leaves the
 # committed snapshot untouched (the CI smoke step).
 bench-offline:

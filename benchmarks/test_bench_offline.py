@@ -24,6 +24,15 @@ sweeps and matches all rows at once.  Rows and chains are asserted
 identical first, and the block-local path must be at least
 ``REQUIRED_BLOCK_SPEEDUP``x faster.
 
+A third region times realizer + rank vectors on the width-64
+``offline-federated`` input (``multi_cluster_computation(8, 500,
+Random(11))``): the library builds the sweep's chain-independent state
+once per realizer and ranks through positional rows; the reference kept
+here is the per-chain algorithm it replaced, which rebuilt the element
+index, the popcounts, the cover-row walks and a rank dict for every
+chain.  Extensions and timestamps are asserted identical first, and the
+library must be at least ``REQUIRED_REALIZER_SPEEDUP``x faster.
+
 Results land in ``BENCH_offline.json`` (``make bench-offline``); with
 ``BENCH_OFFLINE_SMOKE=1`` (the CI smoke step) everything runs one round
 at reduced sizes, the speedup is not gated, and the committed snapshot
@@ -35,14 +44,17 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import deque
 
 import pytest
 
 from benchmarks.conftest import emit, record_offline_perf
+from repro.clocks.base import TimestampAssignment
 from repro.clocks.offline import OfflineRealizerClock
 from repro.core.chains import BipartiteMatcher, minimum_chain_partition
-from repro.core.poset import Poset, diagonal_blocks
+from repro.core.poset import Poset, _popcount, diagonal_blocks
 from repro.core.poset_reference import ReferencePoset
+from repro.core.vector import VectorTimestamp
 from repro.graphs.generators import client_server_topology
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
@@ -61,6 +73,12 @@ REQUIRED_SPEEDUP = 3.0
 BLOCK_CLUSTERS = 16
 BLOCK_MESSAGES = 2_000 if SMOKE else 20_000
 REQUIRED_BLOCK_SPEEDUP = 2.5
+
+#: Realizer region: the ``offline-federated`` input, 8 clusters of a
+#: full-mesh 8x22 cell, width 64 (2 clusters, width 16, in smoke runs).
+REALIZER_CLUSTERS = 2 if SMOKE else 8
+REALIZER_PER_CLUSTER = 500
+REQUIRED_REALIZER_SPEEDUP = 3.0
 
 
 def _workload(messages: int):
@@ -319,3 +337,147 @@ def test_block_local_speedup_snapshot(report_header):
     )
     emit(f"(gated: required >= {REQUIRED_BLOCK_SPEEDUP}x)")
     assert speedup >= REQUIRED_BLOCK_SPEEDUP
+
+
+def _realizer_workload():
+    computation = multi_cluster_computation(
+        REALIZER_CLUSTERS, REALIZER_PER_CLUSTER, random.Random(11)
+    )
+    poset = message_poset(computation)
+    minimum_chain_partition(poset)  # solve and cache the matching
+    return computation, poset
+
+
+def _shared_realizer(computation, poset):
+    """Realizer + rank vectors as the library runs them."""
+    clock = OfflineRealizerClock()
+    return clock, clock.timestamp_poset(computation, poset)
+
+
+def _per_chain_realizer(computation, poset):
+    """Reference: one forced extension per chain, each built from
+    scratch, then one ``{message: rank}`` dict per extension."""
+    chains = minimum_chain_partition(poset)  # cached, as in the clock
+    realizer = [_per_chain_extension(poset, chain) for chain in chains]
+    rank_maps = [
+        {element: rank for rank, element in enumerate(extension)}
+        for extension in realizer
+    ]
+    timestamps = {
+        message: VectorTimestamp(ranks[message] for ranks in rank_maps)
+        for message in poset.elements
+    }
+    return realizer, TimestampAssignment(computation, timestamps)
+
+
+def _per_chain_extension(poset, chain):
+    """The deferred-chain Kahn sweep with all of its set-up per chain:
+    element index, closure-row popcounts and cover-row in-degrees."""
+    items = list(chain)
+    assert all(element in poset for element in items)
+    assert poset.is_chain(items)
+    elements = poset.elements
+    n = len(elements)
+    element_index = {e: i for i, e in enumerate(elements)}
+    in_chain = [False] * n
+    for element in items:
+        in_chain[element_index[element]] = True
+    threshold = [n - 1 - _popcount(row) for row in poset.above_bit_rows()]
+    cover_rows = poset.cover_bit_rows()
+    indegree = [0] * n
+    for row in cover_rows:
+        m = row
+        while m:
+            low = m & -m
+            indegree[low.bit_length() - 1] += 1
+            m ^= low
+
+    stalled = -1
+    ready = deque()
+    for i in range(n):
+        if indegree[i] == 0:
+            if in_chain[i] and threshold[i] != 0:
+                stalled = i
+            else:
+                ready.append(i)
+    order = []
+    while ready or stalled != -1:
+        if stalled != -1 and len(order) == threshold[stalled]:
+            current, stalled = stalled, -1
+        else:
+            current = ready.popleft()
+        order.append(current)
+        placed = len(order)
+        m = cover_rows[current]
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            m ^= low
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                if in_chain[j] and threshold[j] != placed:
+                    stalled = j
+                else:
+                    ready.append(j)
+    return [elements[i] for i in order]
+
+
+def test_shared_realizer_matches_per_chain(report_header):
+    """Identical extensions and timestamps before any timing."""
+    computation, poset = _realizer_workload()
+    clock, assignment = _shared_realizer(computation, poset)
+    realizer, reference = _per_chain_realizer(computation, poset)
+    assert clock.realizer == realizer
+    assert dict(assignment.items()) == dict(reference.items())
+    report_header(
+        f"Shared realizer state: equivalence at {len(computation)} "
+        "messages"
+    )
+    emit(
+        f"{len(computation)} messages, width {len(realizer)}: "
+        "extensions and timestamps identical"
+    )
+
+
+def test_shared_realizer_speedup_snapshot(report_header):
+    """The gated number: per-chain vs. shared realizer + rank vectors."""
+    computation, poset = _realizer_workload()
+    instrument.disable()
+    per_chain_seconds = shared_seconds = float("inf")
+    for _ in range(REPEATS):  # interleaved, so host drift hits both
+        started = time.perf_counter()
+        _per_chain_realizer(computation, poset)
+        per_chain_seconds = min(
+            per_chain_seconds, time.perf_counter() - started
+        )
+        started = time.perf_counter()
+        _shared_realizer(computation, poset)
+        shared_seconds = min(shared_seconds, time.perf_counter() - started)
+    speedup = per_chain_seconds / shared_seconds
+    width = len(minimum_chain_partition(poset))
+
+    report_header(
+        f"Realizer + rank vectors, {len(computation)} messages, "
+        f"width {width}"
+    )
+    emit(f"per-chain reference: {per_chain_seconds:.3f}s")
+    emit(f"shared state:        {shared_seconds:.3f}s")
+    emit(f"speedup: {speedup:.2f}x")
+    if SMOKE:
+        return
+    record_offline_perf(
+        f"realizer_w{width}",
+        {
+            "workload": (
+                f"multi-cluster:{REALIZER_CLUSTERS}x"
+                f"{REALIZER_PER_CLUSTER}"
+            ),
+            "messages": len(computation),
+            "width": width,
+            "per_chain_seconds": per_chain_seconds,
+            "shared_seconds": shared_seconds,
+            "speedup": speedup,
+        },
+    )
+    emit(f"(gated: required >= {REQUIRED_REALIZER_SPEEDUP}x)")
+    assert speedup >= REQUIRED_REALIZER_SPEEDUP

@@ -18,10 +18,15 @@ the same strict vector order as everywhere else.
 Every phase above runs on the bitset poset kernel
 (:mod:`repro.core.poset`): the closure is a word-parallel OR-sweep, the
 Dilworth matching consumes the closed bitmask rows directly, and the
-realizer's forced extensions sweep the cached cover rows — the phase
-costs are measured by the ``offline.*`` spans and snapshotted old-kernel
-vs. new-kernel by ``benchmarks/test_bench_offline.py`` into
-``BENCH_offline.json``.  Callers that need the width, partition, and
+realizer's forced extensions sweep the cached cover rows.  The sweep's
+chain-independent state (successor lists, in-degrees, stall
+thresholds) is built once per realizer, and
+:func:`~repro.core.linear_extensions.realizer_orders` hands back each
+extension as insertion indices, so step 3 fills one int row of ranks
+per extension and transposes the rows into vectors without hashing a
+message per extension.  The phase costs are measured by the
+``offline.*`` spans and snapshotted by ``benchmarks/test_bench_offline.py``
+into ``BENCH_offline.json``.  Callers that need the width, partition, and
 timestamps of the *same* computation should build the poset once and use
 :meth:`OfflineRealizerClock.timestamp_poset` (see the usage cookbook) so
 the per-poset matcher and cover caches are shared across the calls.
@@ -29,7 +34,7 @@ the per-poset matcher and cover caches are shared across the calls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.clocks.base import MessageTimestamper, TimestampAssignment
 from repro.core.chains import (
@@ -37,10 +42,7 @@ from repro.core.chains import (
     minimum_chain_partition,
     width,
 )
-from repro.core.linear_extensions import (
-    ranks_in_extension,
-    realizer_from_chain_partition,
-)
+from repro.core.linear_extensions import realizer_orders
 from repro.core.poset import Poset
 from repro.core.vector import VectorTimestamp
 from repro.obs import audit as _audit
@@ -77,7 +79,10 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
         #: ablation, possibly producing more (= larger vectors).
         self._chain_strategy = chain_strategy
         self._last_width: Optional[int] = None
-        self._last_realizer: Optional[List[List[SyncMessage]]] = None
+        #: The last realizer, as insertion-index orders over
+        #: ``_last_elements`` (see :func:`realizer_orders`).
+        self._last_elements: Tuple[SyncMessage, ...] = ()
+        self._last_orders: Optional[List[List[int]]] = None
         self._last_chains: Optional[List[List[SyncMessage]]] = None
 
     @property
@@ -90,11 +95,12 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
 
     @property
     def realizer(self) -> List[List[SyncMessage]]:
-        if self._last_realizer is None:
+        if self._last_orders is None:
             raise RuntimeError(
                 "realizer is known only after timestamp_computation"
             )
-        return [list(extension) for extension in self._last_realizer]
+        elements = self._last_elements
+        return [[elements[i] for i in order] for order in self._last_orders]
 
     @property
     def chain_partition(self) -> List[List[SyncMessage]]:
@@ -123,7 +129,7 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
         """
         if len(poset) == 0:
             self._last_width = 0
-            self._last_realizer = []
+            self._last_orders = []
             self._last_chains = []
             return TimestampAssignment(computation, {})
         with _obs.span(
@@ -136,22 +142,30 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
             else:
                 chains = greedy_chain_partition(poset)
         with _obs.span("offline.realizer", chains=len(chains)):
-            realizer = realizer_from_chain_partition(poset, chains)
+            orders = realizer_orders(poset, chains)
+        elements = poset.elements
         self._last_chains = chains
-        self._last_realizer = realizer
-        self._last_width = len(realizer)
+        self._last_elements = elements
+        self._last_orders = orders
+        self._last_width = len(orders)
 
-        with _obs.span("offline.rank_vectors", width=len(realizer)):
-            rank_maps = [ranks_in_extension(ext) for ext in realizer]
-            timestamps: Dict[SyncMessage, VectorTimestamp] = {
-                message: VectorTimestamp(
-                    ranks[message] for ranks in rank_maps
-                )
-                for message in poset.elements
-            }
+        with _obs.span("offline.rank_vectors", width=len(orders)):
+            # Row k holds every element's rank in extension k, by
+            # insertion index; transposing the rows gives the vectors,
+            # so no message is hashed once per extension.
+            n = len(elements)
+            rows = []
+            for order in orders:
+                row = [0] * n
+                for rank, i in enumerate(order):
+                    row[i] = rank
+                rows.append(row)
+            timestamps: Dict[SyncMessage, VectorTimestamp] = dict(
+                zip(elements, map(VectorTimestamp, zip(*rows)))
+            )
         m = _obs.metrics
         if m is not None:
-            m.offline_width.set(len(realizer))
+            m.offline_width.set(len(orders))
             m.theorem8_bound.set(
                 len(computation.active_processes()) // 2
             )
@@ -161,7 +175,7 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
             # Read-only cross-check against the same poset we stamped
             # from; never mutates the assignment.
             aud.audit_offline(
-                computation, poset, timestamps, len(realizer)
+                computation, poset, timestamps, len(orders)
             )
         return TimestampAssignment(computation, timestamps)
 

@@ -24,11 +24,10 @@ above ``y``) and ``L_j`` (where ``y`` is above ``x``).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Hashable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.chains import minimum_chain_partition
-from repro.core.poset import Poset, _popcount
+from repro.core.poset import Poset, _popcount, iter_bits
 from repro.exceptions import NotALinearExtensionError, PosetError
 
 Element = Hashable
@@ -91,6 +90,124 @@ def count_linear_extensions(poset: Poset, limit: int = 10_000_000) -> int:
     return count
 
 
+class _ForcedSweep:
+    """The chain-independent state of the deferred-chain Kahn sweep.
+
+    Built once per poset and shared by every chain of a realizer: the
+    element index, the stall thresholds ``n - 1 - |above(i)|``, the base
+    in-degrees and plain-int successor lists.  Each chain then pays only
+    for a copy of the in-degree list and one FIFO sweep (:meth:`order`).
+
+    A bitset :class:`~repro.core.poset.Poset` supplies its successors
+    from the cached cover rows, any other poset from its
+    ``successor_index()`` (the closure).  The two give the same FIFO
+    order: an element becomes ready when its last-placed predecessor is
+    placed, that predecessor is always one of its covers, and the
+    elements made ready by one placement are appended in ascending
+    insertion index either way.  The cover rows just have fewer edges.
+    """
+
+    __slots__ = ("poset", "index", "threshold", "indegree", "successors")
+
+    def __init__(self, poset: Poset):
+        elements = poset.elements
+        n = len(elements)
+        rows_accessor = getattr(poset, "above_bit_rows", None)
+        if rows_accessor is not None:
+            threshold = [n - 1 - _popcount(row) for row in rows_accessor()]
+            successors: Sequence[Sequence[int]] = [
+                list(iter_bits(row)) for row in poset.cover_bit_rows()
+            ]
+        else:
+            successors = poset.successor_index()
+            threshold = [n - 1 - len(row) for row in successors]
+        indegree = [0] * n
+        for row in successors:
+            for j in row:
+                indegree[j] += 1
+        self.poset = poset
+        self.index = {e: i for i, e in enumerate(elements)}
+        self.threshold = threshold
+        self.indegree = indegree
+        self.successors = successors
+
+    def chain_ids(self, chain: Sequence[Element]) -> List[int]:
+        """Insertion indices of ``chain``, which must be a chain of the
+        poset (in any order)."""
+        items = list(chain)
+        index = self.index
+        ids = []
+        for element in items:
+            i = index.get(element, -1)
+            if i < 0:
+                raise PosetError(f"chain element {element!r} not in poset")
+            ids.append(i)
+        if not self.poset.is_chain(items):
+            raise PosetError("a chain-forced extension requires a chain")
+        return ids
+
+    def order(self, chain_ids: Sequence[int]) -> List[int]:
+        """The chain-forced extension for one chain, as insertion indices.
+
+        Deferred-chain Kahn's algorithm.  Materializing the forced edges
+        ``x -> c`` (x incomparable to chain element c) is O(n * |C|);
+        instead observe that in the augmented graph a chain element c
+        has indegree ``|below(c)| + |incomp(c)| = n - 1 - |above(c)|``,
+        so c becomes ready exactly when ``len(order) == n - 1 -
+        |above(c)|`` — and at that moment nothing else can be ready
+        (anything unplaced is above c and hence still blocked by c).
+        Since the chain is totally ordered, at most one chain element is
+        ever waiting on that condition, so a single ``stalled`` slot
+        suffices and the emitted order is identical to a FIFO
+        topological sort of the full augmented relation.
+
+        Conversely, while c waits with an incomparable element still
+        unplaced, a minimal such element has all its predecessors placed
+        and sits in the FIFO queue; so the queue runs dry exactly when
+        c's threshold is reached.  The sweep therefore keeps the queue
+        inside ``order`` (``head`` counts the placed elements), parks
+        each chain element once its covers are placed, and releases it
+        when the queue runs dry, checking the threshold there.
+        """
+        threshold = self.threshold
+        successors = self.successors
+        indegree = self.indegree.copy()
+        in_chain = bytearray(len(indegree))
+        for i in chain_ids:
+            in_chain[i] = 1
+
+        order: List[int] = []
+        stalled = -1
+        for i, degree in enumerate(indegree):
+            if degree == 0:
+                if in_chain[i]:
+                    stalled = i
+                else:
+                    order.append(i)
+        head = 0
+        while True:
+            if head == len(order):
+                if stalled == -1:
+                    return order
+                if threshold[stalled] != head:  # pragma: no cover
+                    # Excluded by the chain-forcing lemma.
+                    raise PosetError(
+                        "chain-forced relation unexpectedly cyclic"
+                    )
+                order.append(stalled)
+                stalled = -1
+            current = order[head]
+            head += 1
+            for j in successors[current]:
+                degree = indegree[j] - 1
+                indegree[j] = degree
+                if degree == 0:
+                    if in_chain[j]:
+                        stalled = j
+                    else:
+                        order.append(j)
+
+
 def chain_forced_extension(
     poset: Poset, chain: Sequence[Element]
 ) -> List[Element]:
@@ -99,110 +216,39 @@ def chain_forced_extension(
 
     ``chain`` must be a chain of ``poset``; it may be given in any order.
     """
-    items = list(chain)
-    for element in items:
-        if element not in poset:
-            raise PosetError(f"chain element {element!r} not in poset")
-    if not poset.is_chain(items):
-        raise PosetError("chain_forced_extension requires a chain")
-
-    # Deferred-chain Kahn's algorithm over the poset's closed order.
-    # Materializing the forced edges ``x -> c`` (x incomparable to chain
-    # element c) is O(n * |C|); instead observe that in the augmented
-    # graph a chain element c has indegree
-    # ``|below(c)| + |incomp(c)| = n - 1 - |above(c)|``, so c becomes
-    # ready exactly when ``len(order) == n - 1 - |above(c)|`` — and at
-    # that moment nothing else can be ready (anything unplaced is above
-    # c and hence still blocked by c).  Since the chain is totally
-    # ordered, at most one chain element is ever waiting on that
-    # condition, so a single ``stalled`` slot suffices and the emitted
-    # order is identical to a topological sort of the full augmented
-    # relation.
-    #
-    # Bitset-backed posets drive the sweep off their bitmask rows
-    # (indegrees are popcounts, successor visits are bit extractions in
-    # the same ascending order); other posets use the cached successor
-    # index.  Both paths emit the identical extension.
+    sweep = _ForcedSweep(poset)
     elements = poset.elements
-    n = len(elements)
-    element_index = {e: i for i, e in enumerate(elements)}
-    in_chain = [False] * n
-    for element in items:
-        in_chain[element_index[element]] = True
+    return [elements[i] for i in sweep.order(sweep.chain_ids(chain))]
 
-    rows_accessor = getattr(poset, "above_bit_rows", None)
-    if rows_accessor is not None:
-        # Sweep the cover rows, not the closure: for a transitively
-        # closed order the FIFO Kahn orders coincide (an element's
-        # last-placed predecessor is always one of its covers, and
-        # newly-ready elements append in the same ascending order), and
-        # the cover sweep touches O(covers) edges per extension.  The
-        # stall thresholds still come from the closure row popcounts.
-        above = rows_accessor()
-        cover_rows = poset.cover_bit_rows()
-        out_count = [_popcount(row) for row in above]
-        indegree = [0] * n
-        for row in cover_rows:
-            m = row
-            while m:
-                low = m & -m
-                indegree[low.bit_length() - 1] += 1
-                m ^= low
-        succ_rows: "Sequence[int] | None" = cover_rows
-        succ = None
-    else:
-        succ = poset.successor_index()
-        succ_rows = None
-        indegree = [0] * n
-        for row in succ:
-            for j in row:
-                indegree[j] += 1
-        out_count = [len(row) for row in succ]
 
-    def _chain_threshold(i: int) -> int:
-        return n - 1 - out_count[i]
+def realizer_orders(
+    poset: Poset, chains: Sequence[Sequence[Element]]
+) -> List[List[int]]:
+    """The chain-forced extensions of a chain family, as insertion-index
+    orders: entry ``k`` of order ``i`` is the position in
+    ``poset.elements`` of the ``k``-th element of extension ``i``.
 
-    stalled = -1
-    ready: deque = deque()
-    for i in range(n):
-        if indegree[i] == 0:
-            if in_chain[i] and _chain_threshold(i) != 0:
-                stalled = i
-            else:
-                ready.append(i)
-
-    order_ids: List[int] = []
-    while ready or stalled != -1:
-        if stalled != -1 and len(order_ids) == _chain_threshold(stalled):
-            current = stalled
-            stalled = -1
-        elif ready:
-            current = ready.popleft()
-        else:  # pragma: no cover - excluded by the chain-forcing lemma
-            raise PosetError("chain-forced relation unexpectedly cyclic")
-        order_ids.append(current)
-        placed = len(order_ids)
-        if succ_rows is not None:
-            m = succ_rows[current]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    if in_chain[j] and _chain_threshold(j) != placed:
-                        stalled = j
-                    else:
-                        ready.append(j)
-        else:
-            for j in succ[current]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    if in_chain[j] and _chain_threshold(j) != placed:
-                        stalled = j
-                    else:
-                        ready.append(j)
-    return [elements[i] for i in order_ids]
+    Every element must lie on some chain, or an incomparable pair might
+    never be reversed; the chains may overlap.  The sweep's
+    chain-independent state is built once and shared by all chains.
+    """
+    if not chains:
+        if len(poset) == 0:
+            return [[]]
+        raise PosetError("empty chain family for a non-empty poset")
+    sweep = _ForcedSweep(poset)
+    family = [sweep.chain_ids(chain) for chain in chains]
+    covered = bytearray(len(poset))
+    for ids in family:
+        for i in ids:
+            covered[i] = 1
+    missing = covered.find(0)
+    if missing != -1:
+        raise PosetError(
+            f"element {poset.elements[missing]!r} lies on no chain of "
+            "the family"
+        )
+    return [sweep.order(ids) for ids in family]
 
 
 def realizer_from_chain_partition(
@@ -214,11 +260,11 @@ def realizer_from_chain_partition(
     and the single extension *is* the order, so the family is still a
     realizer.
     """
-    if not chains:
-        if len(poset) == 0:
-            return [[]]
-        raise PosetError("empty chain family for a non-empty poset")
-    return [chain_forced_extension(poset, chain) for chain in chains]
+    elements = poset.elements
+    return [
+        [elements[i] for i in order]
+        for order in realizer_orders(poset, chains)
+    ]
 
 
 def minimum_width_realizer(poset: Poset) -> List[List[Element]]:

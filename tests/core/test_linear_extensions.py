@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
+from collections import deque
 
-from repro.core.chains import minimum_chain_partition
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.chains import greedy_chain_partition, minimum_chain_partition
 from repro.core.linear_extensions import (
     all_linear_extensions,
     chain_forced_extension,
@@ -19,8 +22,14 @@ from repro.core.linear_extensions import (
     realizer_from_chain_partition,
 )
 from repro.core.poset import Poset
+from repro.core.poset_reference import ReferencePoset
 from repro.exceptions import NotALinearExtensionError, PosetError
-from tests.strategies import posets_from_computations
+from repro.order.message_order import covering_pairs
+from tests.strategies import (
+    clustered_computations,
+    computations,
+    posets_from_computations,
+)
 
 
 @pytest.fixture
@@ -131,6 +140,18 @@ class TestRealizer:
         with pytest.raises(PosetError):
             realizer_from_chain_partition(vee, [])
 
+    def test_family_missing_an_element_rejected(self):
+        # One extension would order b before c, which the antichain
+        # leaves incomparable: not a realizer.
+        with pytest.raises(PosetError, match="'b'"):
+            realizer_from_chain_partition(Poset.antichain("abc"), [["a"]])
+
+    def test_overlapping_chains_accepted(self, vee):
+        realizer = realizer_from_chain_partition(
+            vee, [["a", "b"], ["a", "c"]]
+        )
+        assert is_realizer(vee, realizer)
+
     @settings(max_examples=40, deadline=None)
     @given(posets_from_computations(max_messages=25))
     def test_property_realizer_valid(self, poset):
@@ -138,6 +159,74 @@ class TestRealizer:
             return
         realizer = minimum_width_realizer(poset)
         assert is_realizer(poset, realizer)
+
+
+def _augmented_fifo_sort(poset, chain):
+    """Reference: FIFO Kahn sort of ``P ∪ {(x, c) : c ∈ C, x ‖ c}``.
+
+    The forced edges are materialised, and successors are visited in
+    ascending insertion index.
+    """
+    elements = list(poset.elements)
+    forced = set(chain)
+    successors = [
+        [
+            j
+            for j, y in enumerate(elements)
+            if poset.less(x, y) or (y in forced and poset.concurrent(x, y))
+        ]
+        for x in elements
+    ]
+    indegree = [0] * len(elements)
+    for row in successors:
+        for j in row:
+            indegree[j] += 1
+    ready = deque(i for i, degree in enumerate(indegree) if degree == 0)
+    order = []
+    while ready:
+        i = ready.popleft()
+        order.append(elements[i])
+        for j in successors[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                ready.append(j)
+    assert len(order) == len(elements)
+    return order
+
+
+class TestForcedExtensionOracle:
+    """Every extension of the realizer equals the reference sort over
+    the materialised augmented relation, on both poset kernels."""
+
+    @pytest.mark.parametrize(
+        "partition", [minimum_chain_partition, greedy_chain_partition]
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.one_of(
+            computations(max_messages=30),
+            clustered_computations(
+                max_clusters=3, max_messages_per_cluster=10
+            ),
+        )
+    )
+    def test_matches_augmented_sort(self, partition, computation):
+        pairs = covering_pairs(computation)
+        for poset in (
+            Poset(computation.messages, pairs),
+            ReferencePoset(computation.messages, pairs),
+        ):
+            if len(poset) == 0:
+                continue
+            chains = partition(poset)
+            realizer = realizer_from_chain_partition(poset, chains)
+            assert len(realizer) == len(chains)
+            for chain, extension in zip(chains, realizer):
+                assert extension == _augmented_fifo_sort(poset, chain)
 
 
 class TestIntersection:
