@@ -5,9 +5,10 @@ Measures the 1k-message scalability workload two ways:
 * **handshake path** — the reference Figure 5 implementation: one
   ``OnlineProcessClock`` per process, three handshake calls and two
   fresh immutable vectors per message;
-* **batch path** — ``repro.core.fastpath.stamp_batch``: in-place
-  ``MutableVector`` workspaces, pre-resolved edge-group tables, one
-  immutable vector per message.
+* **batch path** — ``repro.core.fastpath.stamp_batch``: one plain
+  ``list[int]`` row per process updated in place, each directed
+  channel resolved once to slots and an edge group, one immutable
+  vector per message.
 
 The pair is written to ``BENCH_batch.json`` (see
 ``docs/performance.md`` for the methodology).  The acceptance bar for

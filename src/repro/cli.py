@@ -49,6 +49,7 @@ from repro.clocks.fm import FMMessageClock
 from repro.clocks.lamport import LamportMessageClock
 from repro.clocks.offline import OfflineRealizerClock
 from repro.clocks.online import OnlineEdgeClock
+from repro.core.vector import VectorTimestamp
 from repro.exceptions import ReproError
 from repro.graphs.decomposition import decompose
 from repro.graphs.generators import (
@@ -75,6 +76,19 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _parse_file(kind: str, path: str, parse):
+    """``parse`` the JSON in ``path``; any failure exits with one line
+    naming the file — never a traceback."""
+    try:
+        return parse(_load_json(path))
+    except KeyError as exc:
+        raise SystemExit(f"bad {kind} {path!r}: missing key {exc}") from exc
+    except (
+        OSError, ValueError, TypeError, AttributeError, ReproError
+    ) as exc:
+        raise SystemExit(f"bad {kind} {path!r}: {exc}") from exc
+
+
 def _load_trace(path: str):
     """Parse a computation trace file for the trace subcommands.
 
@@ -83,14 +97,37 @@ def _load_trace(path: str):
     process, say) exits with a one-line error naming the file — never
     a traceback.
     """
-    try:
-        return computation_from_dict(_load_json(path))
-    except KeyError as exc:
-        raise SystemExit(f"bad trace {path!r}: missing key {exc}") from exc
-    except (
-        OSError, ValueError, TypeError, AttributeError, ReproError
-    ) as exc:
-        raise SystemExit(f"bad trace {path!r}: {exc}") from exc
+    return _parse_file("trace", path, computation_from_dict)
+
+
+def _load_assignment(computation, path: str):
+    """Parse the assignment file of ``check``.
+
+    A missing file, bad JSON, an unsupported version, an unknown or
+    missing message, or an entry that is not a list exits with a
+    one-line error naming the file.
+    """
+    return _parse_file(
+        "assignment",
+        path,
+        lambda data: assignment_from_dict(computation, data),
+    )
+
+
+def _write_assignment(path: str, assignment, clock: str) -> None:
+    """Write ``assignment`` to ``path`` as JSON, serialising first so a
+    failure leaves an existing file untouched.  The format stores
+    vectors only, so a clock with other stamps exits with one line."""
+    for _, stamp in assignment.items():
+        if not isinstance(stamp, VectorTimestamp):
+            raise SystemExit(
+                f"--output stores vector timestamps; --clock {clock} "
+                f"stamps are {type(stamp).__name__}"
+            )
+    text = json.dumps(assignment_to_dict(assignment), indent=2)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"assignment written to {path}")
 
 
 def _builtin_topology(spec: str):
@@ -192,9 +229,7 @@ def _stamp_wire(args, computation) -> int:
     )
     assignment = TimestampAssignment(computation, timestamps)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(assignment_to_dict(assignment), handle, indent=2)
-        print(f"assignment written to {args.output}")
+        _write_assignment(args.output, assignment, args.clock)
     else:
         rows = [
             [
@@ -240,9 +275,7 @@ def cmd_stamp(args) -> int:
     clock = _make_clock(args.clock, computation.topology)
     assignment = clock.timestamp_computation(computation)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(assignment_to_dict(assignment), handle, indent=2)
-        print(f"assignment written to {args.output}")
+        _write_assignment(args.output, assignment, args.clock)
     else:
         rows = [
             [
@@ -262,9 +295,7 @@ def cmd_stamp(args) -> int:
 
 def cmd_check(args) -> int:
     computation = _load_trace(args.trace)
-    assignment = assignment_from_dict(
-        computation, _load_json(args.assignment)
-    )
+    assignment = _load_assignment(computation, args.assignment)
     clock = _make_clock(args.clock, computation.topology)
     report = check_encoding(clock, assignment)
     print(

@@ -121,8 +121,8 @@ class PiggybackCodec:
     """Base class: per-channel encode/decode of piggybacked vectors.
 
     ``encode`` consumes any int sequence (a :class:`VectorTimestamp`
-    or the fast path's ``MutableVector``); ``decode`` returns an
-    immutable :class:`VectorTimestamp`.  Subclasses keep whatever
+    or one of the fast path's ``list[int]`` rows); ``decode`` returns
+    an immutable :class:`VectorTimestamp`.  Subclasses keep whatever
     per-channel state their format needs and count their own frames.
     """
 

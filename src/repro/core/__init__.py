@@ -24,7 +24,7 @@ from repro.core.dimension import (
     dimension_upper_bound,
     standard_example,
 )
-from repro.core.fastpath import MutableVector, stamp_batch
+from repro.core.fastpath import stamp_batch
 from repro.core.ideals import (
     all_ideals,
     down_closure,
@@ -58,7 +58,6 @@ from repro.core.vector import (
 __all__ = [
     "BipartiteMatcher",
     "INFINITY",
-    "MutableVector",
     "Poset",
     "VectorTimestamp",
     "all_ideals",

@@ -7,30 +7,31 @@ message (one ``join``, one ``incremented``).  For batch stamping — the
 :meth:`OnlineEdgeClock.timestamp_computation` case, where the entire
 computation is in hand — none of that churn is necessary:
 
-* each process gets one mutable list-backed workspace
-  (:class:`MutableVector`) updated in place with ``join_into``/``inc``;
-* the channel -> edge-group lookups are flattened into per-message
-  index tables before the hot loop;
+* each process gets one plain ``list[int]`` row of ``d`` components,
+  updated in place;
+* each directed channel is resolved once to a sender slot, a receiver
+  slot and its range-checked edge-group index, so the hot loop makes
+  no lookups and no method calls;
 * both handshake sides provably converge to
   ``max(v_sender, v_receiver)`` with the channel's component bumped, so
-  one fused join+increment produces the timestamp and the sender
-  workspace is synchronized with a plain copy;
+  one fused join+increment produces the timestamp and the sender row
+  is synchronized with a slice copy;
 * exactly one immutable :class:`VectorTimestamp` is materialized per
   message — the timestamp itself.
 
 The observability contract is preserved: :func:`stamp_batch` reports
 *identical* ``_obs`` counter values to the per-object handshake path —
 two joins, one message, one ack, and two piggybacked vectors per
-message, with the varint payload of each pre-join workspace measured
-exactly where the handshake measures its piggybacked/ack vectors.  The
-metrics-off loop stays free of any accounting work.
+message, each sized exactly as the handshake sizes its offer and ack.
+The metrics-off loop stays free of any accounting work.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
 
-from repro.core.vector import Number, VectorTimestamp
+from repro.core.vector import VectorTimestamp
 from repro.obs import instrument as _obs
 
 if TYPE_CHECKING:  # imported lazily to keep repro.core free of cycles
@@ -38,81 +39,39 @@ if TYPE_CHECKING:  # imported lazily to keep repro.core free of cycles
     from repro.sim.computation import Process, SyncComputation, SyncMessage
 
 
-class MutableVector:
-    """A mutable, list-backed vector workspace.
+def _channel_plan(
+    pairs: Iterable[Tuple[Process, Process]],
+    decomposition: EdgeDecomposition,
+) -> Iterator[Tuple[int, int, int]]:
+    """``(sender slot, receiver slot, e(m))`` for each ``(sender,
+    receiver)`` pair, where slots index ``decomposition.graph.vertices``.
 
-    This is the in-place counterpart of :class:`VectorTimestamp` used by
-    the batch stamping loop: ``join_into`` and ``inc`` mutate the
-    receiver, and :meth:`freeze` snapshots the current value as an
-    immutable :class:`VectorTimestamp`.  Components keep their exact
-    numeric types (the workspace never converts ``int`` to ``float``),
-    so frozen timestamps are byte-identical to the slow path's.
+    Each directed channel is looked up and range-checked once; every
+    later message on it reuses the same tuple.
     """
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components: Iterable[Number]):
-        self._components: List[Number] = list(components)
-
-    @classmethod
-    def zeros(cls, size: int) -> "MutableVector":
-        """The all-zero workspace (Figure 5's "initially 0")."""
-        if size < 0:
-            raise ValueError(f"vector size must be non-negative, got {size}")
-        return cls([0] * size)
-
-    # ------------------------------------------------------------------
-    # Sequence protocol (read side)
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._components)
-
-    def __iter__(self) -> Iterator[Number]:
-        return iter(self._components)
-
-    def __getitem__(self, index):
-        return self._components[index]
-
-    # ------------------------------------------------------------------
-    # In-place updates
-    # ------------------------------------------------------------------
-    def join_into(self, other: "MutableVector") -> None:
-        """``self := max(self, other)`` component-wise, in place."""
-        mine = self._components
-        theirs = other._components
-        if len(mine) != len(theirs):
-            raise ValueError(
-                "cannot join vectors of different sizes: "
-                f"{len(mine)} vs {len(theirs)}"
+    size = decomposition.size
+    group_index_of = decomposition.group_index_of
+    slot_of = {
+        vertex: slot
+        for slot, vertex in enumerate(decomposition.graph.vertices)
+    }
+    channels: Dict[Tuple[Process, Process], Tuple[int, int, int]] = {}
+    for sender, receiver in pairs:
+        channel = (sender, receiver)
+        entry = channels.get(channel)
+        if entry is None:
+            group = group_index_of(sender, receiver)
+            if not 0 <= group < size:
+                raise IndexError(
+                    f"edge group {group} of channel {sender}->{receiver} "
+                    f"is out of range for {size} component(s)"
+                )
+            entry = channels[channel] = (
+                slot_of[sender],
+                slot_of[receiver],
+                group,
             )
-        mine[:] = map(max, mine, theirs)
-
-    def inc(self, index: int, amount: Number = 1) -> None:
-        """``self[index] += amount`` in place (the ``v[g]++`` of Figure 5)."""
-        components = self._components
-        if not 0 <= index < len(components):
-            raise IndexError(
-                f"component index {index} out of range for size "
-                f"{len(components)}"
-            )
-        components[index] += amount
-
-    def copy_from(self, other: "MutableVector") -> None:
-        """Overwrite this workspace with ``other``'s components."""
-        if len(self._components) != len(other._components):
-            raise ValueError(
-                "cannot copy vectors of different sizes: "
-                f"{len(self._components)} vs {len(other._components)}"
-            )
-        self._components[:] = other._components
-
-    def freeze(self) -> VectorTimestamp:
-        """An immutable snapshot of the current value."""
-        return VectorTimestamp(self._components)
-
-    def __repr__(self) -> str:
-        inner = ",".join(str(c) for c in self._components)
-        return f"MutableVector([{inner}])"
+        yield entry
 
 
 def stamp_batch(
@@ -129,63 +88,60 @@ def stamp_batch(
     """
     size = decomposition.size
     messages = computation.messages
-    count = len(messages)
+    plan = list(
+        _channel_plan(
+            ((message.sender, message.receiver) for message in messages),
+            decomposition,
+        )
+    )
+    rows = [[0] * size for _ in decomposition.graph.vertices]
 
-    workspaces: Dict[Process, MutableVector] = {
-        process: MutableVector.zeros(size)
-        for process in computation.processes
-    }
-
-    # Pre-resolve every per-message lookup into flat, index-aligned
-    # tables, so the hot loop below does no per-message lookups.
-    group_index_of = decomposition.group_index_of
-    sender_ws = [workspaces[message.sender] for message in messages]
-    receiver_ws = [workspaces[message.receiver] for message in messages]
-    groups = [group_index_of(m.sender, m.receiver) for m in messages]
-
-    timestamps: Dict[SyncMessage, VectorTimestamp] = {}
+    stamps: List[VectorTimestamp] = []
+    append = stamps.append
     m = _obs.metrics
     if m is None:
-        for position, message in enumerate(messages):
-            send = sender_ws[position]
-            recv = receiver_ws[position]
-            recv.join_into(send)
-            recv.inc(groups[position])
-            send.copy_from(recv)
-            timestamps[message] = recv.freeze()
+        for s, r, g in plan:
+            send = rows[s]
+            recv = rows[r]
+            recv[:] = map(max, recv, send)
+            recv[g] += 1
+            send[:] = recv
+            append(VectorTimestamp(recv))
     else:
-        # Metrics branch: measure the varint payload of each pre-join
-        # workspace exactly where the handshake measures its
-        # piggybacked vector (receiver side sees the sender's pre-send
-        # vector; sender side sees the receiver's pre-merge ack), then
-        # bulk-apply the per-run counters.  Per-message histogram
-        # observations are batched by distinct payload size, which is
-        # order-insensitive and therefore snapshot-identical to the
-        # handshake's one-at-a-time observes.
-        payload_of = _obs.piggyback_size_bytes
-        payload_counts: Dict[int, int] = {}
-        total_payload = 0
-        for position, message in enumerate(messages):
-            send = sender_ws[position]
-            recv = receiver_ws[position]
-            sent = payload_of(send)
-            acked = payload_of(recv)
-            total_payload += sent + acked
-            payload_counts[sent] = payload_counts.get(sent, 0) + 1
-            payload_counts[acked] = payload_counts.get(acked, 0) + 1
-            recv.join_into(send)
-            recv.inc(groups[position])
-            send.copy_from(recv)
-            timestamps[message] = recv.freeze()
+        # Metrics branch.  The handshake sizes each participant's vector
+        # before the message: the sender's offer and the receiver's ack.
+        # A row changes only when its process takes part in a message,
+        # and then it equals v(m), so each message's row is sized once,
+        # after the update, and the size is cached for both
+        # participants; an untouched all-zero row costs d bytes.
+        # Components are counters no larger than the message count, so
+        # row_size_bytes equals piggyback_size_bytes on every row.  The
+        # histogram is fed once per distinct size, which is
+        # snapshot-identical to the handshake's one observe per leg.
+        row_size = _obs.row_size_bytes
+        sizes = [size] * len(rows)
+        payloads: List[int] = []
+        record = payloads.append
+        for s, r, g in plan:
+            send = rows[s]
+            recv = rows[r]
+            record(sizes[s])
+            record(sizes[r])
+            recv[:] = map(max, recv, send)
+            recv[g] += 1
+            send[:] = recv
+            append(VectorTimestamp(recv))
+            sizes[s] = sizes[r] = row_size(recv)
+        count = len(plan)
         m.vector_component_count.set(size)
         if count:
             m.vector_joins.inc(2 * count)
             m.messages_timestamped.inc(count)
             m.acks_processed.inc(count)
-            m.piggyback_bytes_total.inc(total_payload)
-            for payload, times in payload_counts.items():
+            m.piggyback_bytes_total.inc(sum(payloads))
+            for payload, times in Counter(payloads).items():
                 m.piggyback_bytes.observe_many(payload, times)
-    return timestamps
+    return dict(zip(messages, stamps))
 
 
 class WireBatchStats:
@@ -253,7 +209,7 @@ def stamp_batch_wire(
     through one shared :class:`~repro.clocks.delta.PiggybackCodec`
     whose per-channel snapshots persist **across the whole batch** —
     exactly the state a long-lived connection would carry.  In
-    ``bounded:K`` mode both workspaces are saturated to their K hottest
+    ``bounded:K`` mode both rows are saturated to their K hottest
     components before each merge, matching
     ``OnlineProcessClock(bound_k=K)`` timestamp-for-timestamp.
 
@@ -261,8 +217,8 @@ def stamp_batch_wire(
     timestamp dict) or a plain iterable of ``(sender, receiver)`` pairs
     over ``decomposition.graph`` (returns a list) — the pair form lets
     the 10^6-message wire benchmark stream without materializing a
-    message object per send.  ``collect_timestamps=False`` skips the
-    per-message freeze entirely and returns ``None`` timestamps.
+    message object per send.  ``collect_timestamps=False`` builds no
+    per-message timestamp at all and returns ``None`` timestamps.
 
     ``verify=True`` additionally *decodes* every frame and checks the
     reconstruction against the encoder-side vector — the
@@ -281,63 +237,49 @@ def stamp_batch_wire(
     bound_k = codec.bound_k
 
     message_keyed = hasattr(computation, "messages")
-    sends = computation.messages if message_keyed else computation
-
-    workspaces: Dict[Process, MutableVector] = {}
-    timestamps_map: "Dict[SyncMessage, VectorTimestamp] | None" = None
-    timestamps_list: "List[VectorTimestamp] | None" = None
-    if collect_timestamps:
-        if message_keyed:
-            timestamps_map = {}
-        else:
-            timestamps_list = []
+    if message_keyed:
+        pairs = (
+            (message.sender, message.receiver)
+            for message in computation.messages
+        )
+    else:
+        pairs = computation
+    vertices = decomposition.graph.vertices
+    rows = [[0] * size for _ in vertices]
+    stamps: "List[VectorTimestamp] | None" = (
+        [] if collect_timestamps else None
+    )
 
     count = 0
-    for item in sends:
-        if message_keyed:
-            sender, receiver = item.sender, item.receiver
-        else:
-            sender, receiver = item
-        channel = (sender, receiver)
-        group = decomposition.group_index_of(sender, receiver)
-        send = workspaces.get(sender)
-        if send is None:
-            send = workspaces[sender] = MutableVector.zeros(size)
-        recv = workspaces.get(receiver)
-        if recv is None:
-            recv = workspaces[receiver] = MutableVector.zeros(size)
+    for s, r, group in _channel_plan(pairs, decomposition):
+        send = rows[s]
+        recv = rows[r]
         if bound_k is not None:
-            send._components[:] = bound_components(
-                send._components, bound_k
-            )
-            recv._components[:] = bound_components(
-                recv._components, bound_k
-            )
-        offer_blob = codec.encode(channel, send)
-        ack_blob = codec.encode((receiver, sender), recv)
+            send[:] = bound_components(send, bound_k)
+            recv[:] = bound_components(recv, bound_k)
+        offer_key = (s, r)
+        ack_key = (r, s)
+        offer_blob = codec.encode(offer_key, send)
+        ack_blob = codec.encode(ack_key, recv)
         if verify:
-            decoded_offer = list(codec.decode(channel, offer_blob))
-            if decoded_offer != send._components:
+            decoded_offer = list(codec.decode(offer_key, offer_blob))
+            if decoded_offer != send:
                 raise ValueError(
-                    f"offer frame on {channel} decoded to "
-                    f"{decoded_offer}, expected {send._components}"
+                    f"offer frame on {vertices[s]}->{vertices[r]} "
+                    f"decoded to {decoded_offer}, expected {send}"
                 )
-            decoded_ack = list(
-                codec.decode((receiver, sender), ack_blob)
-            )
-            if decoded_ack != recv._components:
+            decoded_ack = list(codec.decode(ack_key, ack_blob))
+            if decoded_ack != recv:
                 raise ValueError(
-                    f"ack frame on {(receiver, sender)} decoded to "
-                    f"{decoded_ack}, expected {recv._components}"
+                    f"ack frame on {vertices[r]}->{vertices[s]} "
+                    f"decoded to {decoded_ack}, expected {recv}"
                 )
-        recv.join_into(send)
-        recv.inc(group)
-        send.copy_from(recv)
+        recv[:] = map(max, recv, send)
+        recv[group] += 1
+        send[:] = recv
         count += 1
-        if timestamps_map is not None:
-            timestamps_map[item] = recv.freeze()
-        elif timestamps_list is not None:
-            timestamps_list.append(recv.freeze())
+        if stamps is not None:
+            stamps.append(VectorTimestamp(recv))
 
     stats = WireBatchStats(
         wire_format=wire_format,
@@ -346,6 +288,6 @@ def stamp_batch_wire(
         payload_bytes=codec.payload_bytes,
         resyncs=codec.resyncs,
     )
-    if timestamps_map is not None:
-        return timestamps_map, stats
-    return timestamps_list, stats
+    if stamps is not None and message_keyed:
+        return dict(zip(computation.messages, stamps)), stats
+    return stamps, stats

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from repro.clocks.base import TimestampAssignment
 from repro.clocks.offline import OfflineRealizerClock
 from repro.clocks.online import OnlineEdgeClock, OnlineProcessClock
+from repro.core.fastpath import stamp_batch_wire
 from repro.core.vector import VectorTimestamp
 from repro.exceptions import ClockError
 from repro.graphs.decomposition import decompose
 from repro.graphs.generators import (
+    client_server_topology,
     complete_topology,
     path_topology,
     star_topology,
@@ -21,7 +26,8 @@ from repro.order.checker import check_encoding
 from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation
 from repro.sim.paper_figures import figure6_computation
-from repro.sim.workload import random_computation
+from repro.sim.trace_io import assignment_to_dict
+from repro.sim.workload import multi_cluster_computation, random_computation
 
 
 class TestProcessClock:
@@ -195,3 +201,56 @@ class TestWorkersKeyword:
                 clock, clock.timestamp_computation(computation)
             )
             assert report.characterizes
+
+
+def _sha256_json(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestPinnedOutputs:
+    """SHA-256 digests of Figure 5 output on the batch and wire paths.
+
+    Both batch kernels must keep producing these exact timestamp files
+    (``assignment_to_dict`` with sorted keys), and the delta codec the
+    same payload size.  The client-server case has d = 3; the federated
+    case has d = 24 and components wide enough for two-byte varints.
+    """
+
+    CASES = {
+        "client-server-3x27": (
+            lambda: random_computation(
+                client_server_topology(3, 27), 2000, random.Random(11)
+            ),
+            "8051987b0aae016f26ac4c05356becabc971f6646d88bb0492224e15f9db9295",
+            24_160,
+        ),
+        "federated-3x500": (
+            lambda: multi_cluster_computation(3, 500, random.Random(11)),
+            "f507b6351eeade77e4cb88de007bed0bc7617b945d6fd1ad8604e03908fb6956",
+            39_826,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_digest(self, name):
+        build, digest, _ = self.CASES[name]
+        computation = build()
+        clock = OnlineEdgeClock(decompose(computation.topology))
+        assignment = clock.timestamp_computation(computation)
+        assert _sha256_json(assignment_to_dict(assignment)) == digest
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_delta_wire_digest(self, name):
+        build, digest, payload_bytes = self.CASES[name]
+        computation = build()
+        timestamps, stats = stamp_batch_wire(
+            computation,
+            decompose(computation.topology),
+            wire_format="delta",
+            verify=True,
+        )
+        assignment = TimestampAssignment(computation, timestamps)
+        assert _sha256_json(assignment_to_dict(assignment)) == digest
+        assert stats.payload_bytes == payload_bytes

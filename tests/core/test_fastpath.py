@@ -1,4 +1,4 @@
-"""Unit tests for the batch stamping workspace and fast path."""
+"""Unit tests for the batch stamping fast path."""
 
 from __future__ import annotations
 
@@ -6,81 +6,13 @@ import random
 
 import pytest
 
-from repro.core.fastpath import MutableVector, stamp_batch
-from repro.core.vector import VectorTimestamp
+from repro.core.fastpath import stamp_batch, stamp_batch_wire
 from repro.graphs.decomposition import decompose
 from repro.graphs.generators import star_topology, triangle_topology
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.computation import SyncComputation
 from repro.sim.workload import random_computation
-
-
-class TestMutableVector:
-    def test_zeros(self):
-        assert list(MutableVector.zeros(3)) == [0, 0, 0]
-
-    def test_zeros_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MutableVector.zeros(-1)
-
-    def test_join_into_takes_componentwise_max(self):
-        u = MutableVector([1, 0, 2])
-        u.join_into(MutableVector([0, 3, 2]))
-        assert list(u) == [1, 3, 2]
-
-    def test_join_into_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MutableVector([1]).join_into(MutableVector([1, 2]))
-
-    def test_join_into_self_is_identity(self):
-        u = MutableVector([2, 5])
-        u.join_into(u)
-        assert list(u) == [2, 5]
-
-    def test_inc(self):
-        u = MutableVector([0, 0])
-        u.inc(1)
-        assert list(u) == [0, 1]
-
-    def test_inc_out_of_range(self):
-        with pytest.raises(IndexError):
-            MutableVector([0]).inc(1)
-        with pytest.raises(IndexError):
-            MutableVector([0]).inc(-1)
-
-    def test_copy_from(self):
-        u = MutableVector([0, 0])
-        u.copy_from(MutableVector([4, 5]))
-        assert list(u) == [4, 5]
-
-    def test_copy_from_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MutableVector([0]).copy_from(MutableVector([1, 2]))
-
-    def test_copy_from_does_not_alias(self):
-        source = MutableVector([1, 2])
-        target = MutableVector([0, 0])
-        target.copy_from(source)
-        source.inc(0)
-        assert list(target) == [1, 2]
-
-    def test_freeze_returns_immutable_snapshot(self):
-        u = MutableVector([1, 2])
-        frozen = u.freeze()
-        u.inc(0)
-        assert frozen == VectorTimestamp([1, 2])
-        assert frozen.components == (1, 2)
-
-    def test_freeze_preserves_int_components(self):
-        frozen = MutableVector.zeros(2).freeze()
-        assert all(type(c) is int for c in frozen.components)
-
-    def test_sequence_protocol(self):
-        u = MutableVector([7, 8])
-        assert len(u) == 2
-        assert u[1] == 8
-        assert "7,8" in repr(u)
 
 
 class TestStampBatch:
@@ -124,3 +56,19 @@ class TestStampBatch:
             if previous is not None:
                 assert sum(current) > sum(previous)
             previous = current
+
+    @pytest.mark.parametrize("group", [-1, 1])
+    def test_out_of_range_group_rejected(self, monkeypatch, group):
+        """A decomposition naming a group outside ``[0, d)`` is refused
+        on both batch paths, not read as a negative list index."""
+        topology = star_topology(3)
+        decomposition = decompose(topology)
+        assert decomposition.size == 1
+        computation = random_computation(topology, 5, random.Random(1))
+        monkeypatch.setattr(
+            decomposition, "group_index_of", lambda sender, receiver: group
+        )
+        with pytest.raises(IndexError, match="out of range"):
+            stamp_batch(computation, decomposition)
+        with pytest.raises(IndexError, match="out of range"):
+            stamp_batch_wire(computation, decomposition)

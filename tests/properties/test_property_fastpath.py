@@ -5,7 +5,8 @@ inputs:
 
 * :func:`repro.core.fastpath.stamp_batch` must agree with the reference
   per-process handshake **message for message** — same component values,
-  same component types, and same ``_obs`` counter totals;
+  same component types, and same ``_obs`` counter totals, including on
+  long runs whose components need two- and three-byte varints;
 * the weak matcher cache must be invisible: ``width``,
   ``minimum_chain_partition`` and ``maximum_antichain`` return the same
   answers on repeated calls and match a freshly built identical poset.
@@ -13,7 +14,11 @@ inputs:
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.clocks.online import OnlineEdgeClock
 from repro.core.chains import (
@@ -24,8 +29,11 @@ from repro.core.chains import (
 )
 from repro.core.fastpath import stamp_batch
 from repro.core.poset import Poset
+from repro.graphs.decomposition import decompose
+from repro.graphs.generators import client_server_topology, path_topology
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.workload import random_computation
 from tests.strategies import (
     decomposed_computations,
     posets_from_computations,
@@ -68,6 +76,49 @@ class TestStampBatchEquivalence:
             clock.timestamp_computation(computation)
             fast_snapshot = bundle.registry.snapshot()
         assert fast_snapshot == slow_snapshot
+
+    @pytest.mark.parametrize(
+        "topology, messages",
+        [
+            (path_topology(2), 20_000),  # d = 1, reaches 20,000
+            (client_server_topology(3, 27), 30_000),  # d = 3
+        ],
+        ids=["path-2x20k", "client-server-3x27x30k"],
+    )
+    def test_obs_counters_identical_with_wide_varints(
+        self, topology, messages
+    ):
+        """Long runs push components past 127 and 16383, so a cached
+        payload size that went stale, or was taken after the join,
+        would change ``piggyback_bytes``."""
+        computation = random_computation(
+            topology, messages, random.Random(5)
+        )
+        clock = OnlineEdgeClock(decompose(topology))
+        with instrument.enabled_session(MetricsRegistry()) as bundle:
+            clock.timestamp_computation_handshake(computation)
+            slow_snapshot = bundle.registry.snapshot()
+        with instrument.enabled_session(MetricsRegistry()) as bundle:
+            clock.timestamp_computation(computation)
+            fast_snapshot = bundle.registry.snapshot()
+        assert fast_snapshot == slow_snapshot
+
+
+class TestRowSizeBytes:
+    @pytest.mark.parametrize(
+        "value", [0, 127, 128, 16383, 16384, 2**21 - 1, 2**21]
+    )
+    def test_band_edges(self, value):
+        assert instrument.row_size_bytes([value]) == (
+            instrument.piggyback_size_bytes([value])
+        )
+
+    @RELAXED
+    @given(st.lists(st.integers(min_value=0, max_value=2**70 - 1)))
+    def test_matches_piggyback_size_bytes(self, row):
+        assert instrument.row_size_bytes(row) == (
+            instrument.piggyback_size_bytes(row)
+        )
 
 
 class TestMatcherCacheEquivalence:

@@ -89,6 +89,24 @@ class TestStamp:
         data = json.loads(output.read_text())
         assert len(data["timestamps"]) == len(computation)
 
+    def test_scalar_clock_output_is_refused_and_file_kept(
+        self, trace_file, tmp_path
+    ):
+        path, _ = trace_file
+        output = tmp_path / "stamps.json"
+        output.write_bytes(b"previous contents\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "stamp", str(path), "--clock", "lamport",
+                    "--output", str(output),
+                ]
+            )
+        message = str(excinfo.value.code)
+        assert "--clock lamport" in message
+        assert "\n" not in message
+        assert output.read_bytes() == b"previous contents\n"
+
 
 class TestCheck:
     def test_valid_assignment_passes(self, trace_file, tmp_path, capsys):
@@ -391,6 +409,52 @@ class TestMalformedTraces:
             path.write_text(content)
         with pytest.raises(SystemExit, match="bad trace"):
             main(["stamp", str(path)])
+
+
+class TestMalformedAssignments:
+    """``check`` exits with one line naming a bad assignment file."""
+
+    BREAKAGES = {
+        "missing-file": (None, "No such file"),
+        "bad-json": ("{not json", "Expecting property name"),
+        "version-2": (
+            lambda data: data.update(version=2),
+            "unsupported assignment format version 2",
+        ),
+        "unknown-message": (
+            lambda data: data["timestamps"].update(m99=[0, 0]),
+            "no message named 'm99'",
+        ),
+        "no-timestamp": (
+            lambda data: data["timestamps"].pop("m1"),
+            "missing timestamps for ['m1']",
+        ),
+        "scalar-entry": (
+            lambda data: data["timestamps"].update(m1=3),
+            "'int' object is not iterable",
+        ),
+    }
+
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    def test_one_line_error(self, trace_file, tmp_path, breakage):
+        path, _ = trace_file
+        stamps = tmp_path / "stamps.json"
+        assert main(["stamp", str(path), "--output", str(stamps)]) == 0
+        corrupt, expected = self.BREAKAGES[breakage]
+        if corrupt is None:
+            stamps.unlink()
+        elif isinstance(corrupt, str):
+            stamps.write_text(corrupt)
+        else:
+            data = json.loads(stamps.read_text())
+            corrupt(data)
+            stamps.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(path), str(stamps)])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"bad assignment {str(stamps)!r}: ")
+        assert expected in message
+        assert "\n" not in message
 
 
 class TestObsReport:
