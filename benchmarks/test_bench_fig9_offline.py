@@ -43,11 +43,12 @@ def test_fig9_offline_pipeline(benchmark, report_header, workload):
     report_header(f"Figure 9: offline algorithm on '{workload}' workload")
     emit(
         render_table(
-            ["workload", "messages", "width (vector size)", "floor(N/2)"],
+            ["workload", "messages", "width", "vector size", "floor(N/2)"],
             [
                 [
                     workload,
                     len(computation),
+                    len(clock.chain_partition),
                     clock.timestamp_size,
                     theorem8_bound(computation),
                 ]

@@ -27,11 +27,15 @@ identical first, and the block-local path must be at least
 A third region times realizer + rank vectors on the width-64
 ``offline-federated`` input (``multi_cluster_computation(8, 500,
 Random(11))``): the library builds the sweep's chain-independent state
-once per realizer and ranks through positional rows; the reference kept
-here is the per-chain algorithm it replaced, which rebuilt the element
-index, the popcounts, the cover-row walks and a rank dict for every
-chain.  Extensions and timestamps are asserted identical first, and the
-library must be at least ``REQUIRED_REALIZER_SPEEDUP``x faster.
+once per realizer, sweeps each chain over its own connected component,
+joins the 8 components by the sum rule into 8 extensions, and ranks
+through positional rows; the reference kept here is the per-chain
+algorithm it replaced, which rebuilt the element index, the popcounts
+and the cover-row walks for every chain and swept the whole poset,
+then cuts each extension down to its component, joins them by the sum
+rule and ranks through one dict per extension.  Extensions and
+timestamps are asserted identical first, and the library must be at
+least ``REQUIRED_REALIZER_SPEEDUP``x faster.
 
 Results land in ``BENCH_offline.json`` (``make bench-offline``); with
 ``BENCH_OFFLINE_SMOKE=1`` (the CI smoke step) everything runs one round
@@ -356,9 +360,36 @@ def _shared_realizer(computation, poset):
 
 def _per_chain_realizer(computation, poset):
     """Reference: one forced extension per chain, each built from
-    scratch, then one ``{message: rank}`` dict per extension."""
+    scratch over the whole poset and then restricted to the chain's
+    component; the components joined by the sum rule (forward, reversed,
+    then forward again, a component short of chains repeating its last
+    extension); then one ``{message: rank}`` dict per extension."""
     chains = minimum_chain_partition(poset)  # cached, as in the clock
-    realizer = [_per_chain_extension(poset, chain) for chain in chains]
+    index = {element: i for i, element in enumerate(poset.elements)}
+    components = _component_masks(poset)
+    blocks = [[] for _ in components]
+    for chain in chains:
+        extension = _per_chain_extension(poset, chain)
+        number = next(
+            k
+            for k, mask in enumerate(components)
+            if mask >> index[chain[0]] & 1
+        )
+        mask = components[number]
+        blocks[number].append(
+            [e for e in extension if mask >> index[e] & 1]
+        )
+    if len(blocks) == 1:
+        realizer = blocks[0]
+    else:
+        realizer = [
+            [
+                element
+                for block in (blocks[::-1] if k == 1 else blocks)
+                for element in block[min(k, len(block) - 1)]
+            ]
+            for k in range(max(2, max(map(len, blocks))))
+        ]
     rank_maps = [
         {element: rank for rank, element in enumerate(extension)}
         for extension in realizer
@@ -368,6 +399,26 @@ def _per_chain_realizer(computation, poset):
         for message in poset.elements
     }
     return realizer, TimestampAssignment(computation, timestamps)
+
+
+def _component_masks(poset):
+    """The connected components as bit masks, numbered by their
+    smallest index: each grows from its first element through the
+    closed rows until no comparability leaves it."""
+    above, below = poset.above_bit_rows(), poset.below_bit_rows()
+    unseen = (1 << len(above)) - 1
+    components = []
+    while unseen:
+        mask = frontier = unseen & -unseen
+        while frontier:
+            grown = 0
+            for i in _bits(frontier):
+                grown |= above[i] | below[i]
+            frontier = grown & ~mask
+            mask |= frontier
+        unseen &= ~mask
+        components.append(mask)
+    return components
 
 
 def _per_chain_extension(poset, chain):
@@ -434,8 +485,9 @@ def test_shared_realizer_matches_per_chain(report_header):
         "messages"
     )
     emit(
-        f"{len(computation)} messages, width {len(realizer)}: "
-        "extensions and timestamps identical"
+        f"{len(computation)} messages, width "
+        f"{len(minimum_chain_partition(poset))}, {len(realizer)} "
+        "extensions: extensions and timestamps identical"
     )
 
 
@@ -451,14 +503,15 @@ def test_shared_realizer_speedup_snapshot(report_header):
             per_chain_seconds, time.perf_counter() - started
         )
         started = time.perf_counter()
-        _shared_realizer(computation, poset)
+        clock, _ = _shared_realizer(computation, poset)
         shared_seconds = min(shared_seconds, time.perf_counter() - started)
     speedup = per_chain_seconds / shared_seconds
     width = len(minimum_chain_partition(poset))
+    vector_size = clock.timestamp_size
 
     report_header(
         f"Realizer + rank vectors, {len(computation)} messages, "
-        f"width {width}"
+        f"width {width}, vector size {vector_size}"
     )
     emit(f"per-chain reference: {per_chain_seconds:.3f}s")
     emit(f"shared state:        {shared_seconds:.3f}s")
@@ -474,6 +527,7 @@ def test_shared_realizer_speedup_snapshot(report_header):
             ),
             "messages": len(computation),
             "width": width,
+            "vector_size": vector_size,
             "per_chain_seconds": per_chain_seconds,
             "shared_seconds": shared_seconds,
             "speedup": speedup,

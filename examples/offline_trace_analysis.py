@@ -6,8 +6,10 @@ Run with::
 
 A monitoring agent captured a computation online and stored it as JSON.
 Later, an analyst reloads the trace and re-timestamps it with the
-offline algorithm, which compresses the vectors down to the poset's
-width — at most ⌊N/2⌋ (Theorem 8), often far less.
+offline algorithm, which compresses the vectors down to at most the
+poset's width — at most ⌊N/2⌋ (Theorem 8), often far less.  When no
+process links two groups of messages, the vectors need only as many
+components as the widest group (and at least 2).
 """
 
 from __future__ import annotations

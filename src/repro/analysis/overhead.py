@@ -3,7 +3,7 @@
 The paper's evaluation-style claims are about *vector size* as a
 function of the topology: the online algorithm needs ``d`` components
 (the edge-decomposition size), FM needs ``N``, and the offline
-algorithm needs ``width(M, ↦) <= floor(N/2)``.  This module computes
+algorithm needs at most ``width(M, ↦) <= floor(N/2)``.  This module computes
 those numbers for a topology (and optionally a workload) and packages
 them for the benchmark tables.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.clocks.offline import offline_vector_size, theorem8_bound
+from repro.clocks.offline import theorem8_bound
+from repro.core.chains import width
 from repro.graphs.decomposition import (
     EdgeDecomposition,
     decompose,
@@ -24,6 +25,7 @@ from repro.graphs.vertex_cover import (
     exact_vertex_cover,
     greedy_vertex_cover,
 )
+from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation
 
 
@@ -101,7 +103,7 @@ def workload_overhead(
         label=label,
         message_count=len(computation),
         active_processes=len(computation.active_processes()),
-        poset_width=offline_vector_size(computation),
+        poset_width=width(message_poset(computation)),
         theorem8_limit=theorem8_bound(computation),
         online_size=decomposition.size,
     )

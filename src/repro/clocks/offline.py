@@ -5,22 +5,26 @@ Given the *completed* computation, the offline algorithm:
 1. builds the message poset ``(M, ↦)`` and takes its width ``w``
    (Theorem 8 proves ``w <= floor(N/2)``, because each message occupies
    two processes and ``floor(N/2)+1`` messages must share one);
-2. constructs a chain realizer ``{L_1, .., L_w}`` with
+2. constructs a chain realizer ``{L_1, .., L_k}`` with
    ``∩ L_i = (M, ↦)`` (we use the constructive chain-forcing lemma over
-   a minimum chain partition — see :mod:`repro.core.linear_extensions`);
+   a minimum chain partition — see :mod:`repro.core.linear_extensions`).
+   ``k = w`` when the poset is connected; when no process links two
+   groups of messages the poset is a disjoint sum ``P_1 + .. + P_m``
+   and the sum rule needs only ``k = max(2, max_i width(P_i))``;
 3. stamps each message ``m`` with ``V_m[i] =`` the number of messages
    before ``m`` in ``L_i``.
 
-The resulting vectors characterize ``↦`` with ``w`` components, and for
-comparable messages *every* component moves, so the precedence test is
-the same strict vector order as everywhere else.
+The resulting vectors characterize ``↦`` with ``k <= w`` components,
+and for comparable messages *every* component moves, so the precedence
+test is the same strict vector order as everywhere else.
 
 Every phase above runs on the bitset poset kernel
 (:mod:`repro.core.poset`): the closure is a word-parallel OR-sweep, the
 Dilworth matching consumes the closed bitmask rows directly, and the
-realizer's forced extensions sweep the cached cover rows.  The sweep's
-chain-independent state (successor lists, in-degrees, stall
-thresholds) is built once per realizer, and
+realizer's forced extensions sweep the cached cover rows, each over its
+own connected component.  The sweep's chain-independent state
+(successor lists, in-degrees, stall thresholds) is built once per
+realizer, and
 :func:`~repro.core.linear_extensions.realizer_orders` hands back each
 extension as insertion indices, so step 3 fills one int row of ranks
 per extension and transposes the rows into vectors without hashing a
@@ -37,12 +41,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.clocks.base import MessageTimestamper, TimestampAssignment
-from repro.core.chains import (
-    greedy_chain_partition,
-    minimum_chain_partition,
-    width,
-)
-from repro.core.linear_extensions import realizer_orders
+from repro.core.chains import greedy_chain_partition, minimum_chain_partition
+from repro.core.linear_extensions import realizer_orders, realizer_size
 from repro.core.poset import Poset
 from repro.core.vector import VectorTimestamp
 from repro.obs import audit as _audit
@@ -52,7 +52,8 @@ from repro.sim.computation import SyncComputation, SyncMessage
 
 
 class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
-    """Figure 9: width-sized vectors from a chain realizer.
+    """Figure 9: vectors from a chain realizer, one component per
+    extension of the sum-rule realizer (at most the width).
 
     The clock is stateless until :meth:`timestamp_computation` runs;
     afterwards :attr:`timestamp_size`, :attr:`realizer` and
@@ -74,11 +75,11 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
                 f"workers={workers!r} is not supported; stamping is "
                 "serial (only workers=1 is accepted)"
             )
-        #: "matching" uses the Dilworth-optimal partition (vector size =
-        #: width); "greedy" peels longest chains — the DESIGN.md §6
-        #: ablation, possibly producing more (= larger vectors).
+        #: "matching" uses the Dilworth-optimal partition (one chain per
+        #: unit of width); "greedy" peels longest chains — the DESIGN.md
+        #: §6 ablation, possibly producing more (= larger vectors).
         self._chain_strategy = chain_strategy
-        self._last_width: Optional[int] = None
+        self._last_size: Optional[int] = None
         #: The last realizer, as insertion-index orders over
         #: ``_last_elements`` (see :func:`realizer_orders`).
         self._last_elements: Tuple[SyncMessage, ...] = ()
@@ -87,11 +88,11 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
 
     @property
     def timestamp_size(self) -> int:
-        if self._last_width is None:
+        if self._last_size is None:
             raise RuntimeError(
                 "timestamp_size is known only after timestamp_computation"
             )
-        return self._last_width
+        return self._last_size
 
     @property
     def realizer(self) -> List[List[SyncMessage]]:
@@ -128,7 +129,7 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
         the oracle check and the offline stamping.
         """
         if len(poset) == 0:
-            self._last_width = 0
+            self._last_size = 0
             self._last_orders = []
             self._last_chains = []
             return TimestampAssignment(computation, {})
@@ -147,9 +148,9 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
         self._last_chains = chains
         self._last_elements = elements
         self._last_orders = orders
-        self._last_width = len(orders)
+        self._last_size = len(orders)
 
-        with _obs.span("offline.rank_vectors", width=len(orders)):
+        with _obs.span("offline.rank_vectors", size=len(orders)):
             # Row k holds every element's rank in extension k, by
             # insertion index; transposing the rows gives the vectors,
             # so no message is hashed once per extension.
@@ -165,7 +166,8 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
             )
         m = _obs.metrics
         if m is not None:
-            m.offline_width.set(len(orders))
+            m.offline_width.set(len(chains))
+            m.offline_vector_size.set(len(orders))
             m.theorem8_bound.set(
                 len(computation.active_processes()) // 2
             )
@@ -175,7 +177,7 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
             # Read-only cross-check against the same poset we stamped
             # from; never mutates the assignment.
             aud.audit_offline(
-                computation, poset, timestamps, len(orders)
+                computation, poset, timestamps, len(chains)
             )
         return TimestampAssignment(computation, timestamps)
 
@@ -184,11 +186,13 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
 
 
 def offline_vector_size(computation: SyncComputation) -> int:
-    """The number of components Figure 9 uses: ``width(M, ↦)``."""
+    """The number of components Figure 9 uses: ``width(M, ↦)`` when the
+    message poset is connected, else the sum-rule size
+    ``max(2, max_i width(P_i))`` over its components."""
     poset = message_poset(computation)
     if len(poset) == 0:
         return 0
-    return width(poset)
+    return realizer_size(poset, minimum_chain_partition(poset))
 
 
 def theorem8_bound(computation: SyncComputation) -> int:

@@ -6,11 +6,12 @@ general (Yannakakis 1982, the paper's reference [24]); this module
 provides:
 
 * an exact brute-force computation for small posets (used as a test
-  oracle against the constructive ``width``-sized realizer);
+  oracle against the constructive chain realizer);
 * the classical *standard examples* ``S_n`` with dimension ``n``, used to
   validate the brute force;
 * upper/lower bound helpers (``dim <= width`` via the constructive
-  realizer; a trivial lower bound from any incomparable pair).
+  realizer, tightened to ``max(2, max_i width(P_i))`` on a disjoint sum
+  by the sum rule; a trivial lower bound from any incomparable pair).
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.chains import width
+from repro.core.chains import minimum_chain_partition
 from repro.core.linear_extensions import (
     all_linear_extensions,
     is_realizer,
     minimum_width_realizer,
+    realizer_size,
 )
 from repro.core.poset import Poset
 from repro.exceptions import PosetError
@@ -37,8 +39,10 @@ BRUTE_FORCE_EXTENSION_LIMIT = 5_000
 
 
 def dimension_upper_bound(poset: Poset) -> int:
-    """``width(P)`` — the Dilworth bound the offline algorithm uses."""
-    return max(1, width(poset))
+    """The size of the realizer the offline algorithm builds: ``width(P)``
+    for a connected poset (the Dilworth bound), ``max(2, max_i
+    width(P_i))`` for a disjoint sum of components ``P_i``."""
+    return realizer_size(poset, minimum_chain_partition(poset))
 
 
 def dimension_lower_bound(poset: Poset) -> int:

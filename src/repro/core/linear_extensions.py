@@ -20,6 +20,17 @@ Given a chain partition ``C_1 .. C_w``, the family of such forced
 extensions is a realizer: an incomparable pair ``{x, y}`` with
 ``x ∈ C_i`` and ``y ∈ C_j`` is reversed between ``L_i`` (where ``x`` is
 above ``y``) and ``L_j`` (where ``y`` is above ``x``).
+
+**Sum rule.**  When ``P`` is a disjoint sum ``P_1 + .. + P_m`` of its
+connected components, every chain lies in one component, and
+``max(2, max_i k_i)`` extensions suffice, where ``k_i`` is the number
+of chains in ``P_i`` (Trotter 1992: ``dim(P_1 + .. + P_m) =
+max(2, max_i dim P_i)``).  Each component gets its own forced
+extensions; extension 0 lists the component blocks in order,
+extension 1 in reverse order and every later extension in order, and a
+component with fewer chains repeats its last extension.  A pair inside
+one component is reversed by that component's own extensions, and a
+pair across two components by extensions 0 and 1.
 """
 
 from __future__ import annotations
@@ -146,8 +157,60 @@ class _ForcedSweep:
             raise PosetError("a chain-forced extension requires a chain")
         return ids
 
-    def order(self, chain_ids: Sequence[int]) -> List[int]:
+    def components(self) -> Tuple[List[int], List[List[int]]]:
+        """Each element's component label, and each connected
+        component's elements in ascending insertion index.
+
+        Union-find over the successor rows.  A union keeps the smaller
+        root, so every root is its component's smallest index, and the
+        components are numbered by their smallest index.
+        """
+        parent = list(range(len(self.successors)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, row in enumerate(self.successors):
+            for j in row:
+                a, b = find(i), find(j)
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+        label = [0] * len(parent)
+        members: List[List[int]] = []
+        for i in range(len(parent)):
+            root = find(i)
+            if root == i:
+                label[i] = len(members)
+                members.append([i])
+            else:
+                label[i] = label[root]
+                members[label[i]].append(i)
+        return label, members
+
+    def sources(self, members: Sequence[int]) -> List[int]:
+        """The minimal elements among ``members``, in the same order."""
+        indegree = self.indegree
+        return [i for i in members if indegree[i] == 0]
+
+    def order(
+        self, chain_ids: Sequence[int], sources: Sequence[int], outside: int
+    ) -> List[int]:
         """The chain-forced extension for one chain, as insertion indices.
+
+        The sweep covers the connected component (or union of
+        components) whose minimal elements are ``sources``, given in
+        ascending insertion index; ``outside`` counts the poset's
+        elements beyond it.  Its order is the whole-poset forced
+        extension restricted to the component: nothing outside ever
+        makes an element inside ready, so the component's elements keep
+        their FIFO order, and a chain element, forced above everything
+        incomparable to it, is still released when the component's
+        queue runs dry.
 
         Deferred-chain Kahn's algorithm.  Materializing the forced edges
         ``x -> c`` (x incomparable to chain element c) is O(n * |C|);
@@ -156,6 +219,8 @@ class _ForcedSweep:
         so c becomes ready exactly when ``len(order) == n - 1 -
         |above(c)|`` — and at that moment nothing else can be ready
         (anything unplaced is above c and hence still blocked by c).
+        Inside a component, whose elements number ``n - outside``, the
+        threshold drops by ``outside``, since ``above(c)`` lies inside.
         Since the chain is totally ordered, at most one chain element is
         ever waiting on that condition, so a single ``stalled`` slot
         suffices and the emitted order is identical to a FIFO
@@ -178,18 +243,17 @@ class _ForcedSweep:
 
         order: List[int] = []
         stalled = -1
-        for i, degree in enumerate(indegree):
-            if degree == 0:
-                if in_chain[i]:
-                    stalled = i
-                else:
-                    order.append(i)
+        for i in sources:
+            if in_chain[i]:
+                stalled = i
+            else:
+                order.append(i)
         head = 0
         while True:
             if head == len(order):
                 if stalled == -1:
                     return order
-                if threshold[stalled] != head:  # pragma: no cover
+                if threshold[stalled] - outside != head:  # pragma: no cover
                     # Excluded by the chain-forcing lemma.
                     raise PosetError(
                         "chain-forced relation unexpectedly cyclic"
@@ -218,23 +282,22 @@ def chain_forced_extension(
     """
     sweep = _ForcedSweep(poset)
     elements = poset.elements
-    return [elements[i] for i in sweep.order(sweep.chain_ids(chain))]
+    order = sweep.order(
+        sweep.chain_ids(chain), sweep.sources(range(len(elements))), 0
+    )
+    return [elements[i] for i in order]
 
 
-def realizer_orders(
+def _grouped_family(
     poset: Poset, chains: Sequence[Sequence[Element]]
-) -> List[List[int]]:
-    """The chain-forced extensions of a chain family, as insertion-index
-    orders: entry ``k`` of order ``i`` is the position in
-    ``poset.elements`` of the ``k``-th element of extension ``i``.
+) -> Tuple[_ForcedSweep, List[List[int]], List[List[List[int]]]]:
+    """The sweep, the connected components, and the chains' insertion
+    indices grouped by component (a chain is comparable throughout, so
+    it lies in one component; an empty chain joins component 0).
 
-    Every element must lie on some chain, or an incomparable pair might
-    never be reversed; the chains may overlap.  The sweep's
-    chain-independent state is built once and shared by all chains.
+    Raises :class:`PosetError` unless every element lies on a chain.
     """
     if not chains:
-        if len(poset) == 0:
-            return [[]]
         raise PosetError("empty chain family for a non-empty poset")
     sweep = _ForcedSweep(poset)
     family = [sweep.chain_ids(chain) for chain in chains]
@@ -248,13 +311,73 @@ def realizer_orders(
             f"element {poset.elements[missing]!r} lies on no chain of "
             "the family"
         )
-    return [sweep.order(ids) for ids in family]
+    label, members = sweep.components()
+    groups: List[List[List[int]]] = [[] for _ in members]
+    for ids in family:
+        groups[label[ids[0]] if ids else 0].append(ids)
+    return sweep, members, groups
+
+
+def _sum_rule_size(sizes: Sequence[int]) -> int:
+    """Extensions in the sum of component realizers of ``sizes``."""
+    return sizes[0] if len(sizes) == 1 else max(2, *sizes)
+
+
+def realizer_size(
+    poset: Poset, chains: Sequence[Sequence[Element]]
+) -> int:
+    """``len(realizer_orders(poset, chains))``, without the sweeps: the
+    chain count when ``poset`` is connected, else ``max(2, max_i k_i)``
+    over its components' chain counts ``k_i``."""
+    if len(poset) == 0:
+        return 1
+    _, _, groups = _grouped_family(poset, chains)
+    return _sum_rule_size([len(group) for group in groups])
+
+
+def realizer_orders(
+    poset: Poset, chains: Sequence[Sequence[Element]]
+) -> List[List[int]]:
+    """The sum-rule realizer of a chain family, as insertion-index
+    orders: entry ``k`` of order ``i`` is the position in
+    ``poset.elements`` of the ``k``-th element of extension ``i``.
+
+    Each component's chains get forced extensions over that component
+    alone, and the components are joined by the sum rule (module
+    docstring), giving :func:`realizer_size` extensions.  A connected
+    poset gets one forced extension per chain, in the family's order.
+
+    Every element must lie on some chain, or an incomparable pair might
+    never be reversed; the chains may overlap.  The sweep's
+    chain-independent state is built once and shared by all chains.
+    """
+    if len(poset) == 0:
+        return [[]]
+    sweep, members, groups = _grouped_family(poset, chains)
+    n = len(poset)
+    blocks = []
+    for component, group in zip(members, groups):
+        sources = sweep.sources(component)
+        outside = n - len(component)
+        blocks.append(
+            [sweep.order(ids, sources, outside) for ids in group]
+        )
+    orders = []
+    for k in range(_sum_rule_size([len(block) for block in blocks])):
+        order: List[int] = []
+        for block in reversed(blocks) if k == 1 else blocks:
+            order.extend(block[min(k, len(block) - 1)])
+        orders.append(order)
+    return orders
 
 
 def realizer_from_chain_partition(
     poset: Poset, chains: Sequence[Sequence[Element]]
 ) -> List[List[Element]]:
-    """A realizer with one forced extension per chain of the partition.
+    """The sum-rule realizer of :func:`realizer_orders`, as element
+    lists: one forced extension per chain when ``poset`` is connected,
+    ``max(2, max_i k_i)`` joined extensions over components with
+    ``k_i`` chains each otherwise.
 
     When the partition has a single chain the poset is totally ordered
     and the single extension *is* the order, so the family is still a
@@ -268,12 +391,13 @@ def realizer_from_chain_partition(
 
 
 def minimum_width_realizer(poset: Poset) -> List[List[Element]]:
-    """Realizer of size ``width(poset)`` via minimum chain partition.
+    """Realizer over a minimum chain partition: at most ``width(P)``
+    extensions; exactly ``width(P)`` when ``P`` is connected.
 
-    This is the constructive engine behind the offline algorithm: the
-    returned family has exactly ``width(P)`` extensions, matching the
-    ``dim(P) <= width(P)`` bound the paper invokes from Dilworth's
-    theorem.
+    This is the constructive engine behind the offline algorithm.  On a
+    connected poset it matches the ``dim(P) <= width(P)`` bound the
+    paper invokes from Dilworth's theorem; on a disjoint sum the sum
+    rule needs only ``max(2, max_i width(P_i))`` extensions.
     """
     if len(poset) == 0:
         return [[]]

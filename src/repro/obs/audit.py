@@ -10,7 +10,8 @@ it, in both directions, and asserts the size bounds the paper proves:
 
 * Theorem 5 (online): the vector has one component per edge group and
   the decomposition size is at most ``N - 2`` (for ``N >= 3``);
-* Theorem 8 (offline): the realizer width is at most
+* Theorem 8 (offline): the width (the chain partition's size, which
+  the sum rule may shrink the vectors below) is at most
   ``floor(N_active / 2)``.
 
 Violations are collected on the auditor, counted by the

@@ -148,7 +148,13 @@ class ObsMetrics:
         )
         self.offline_width = registry.gauge(
             "offline_width",
-            "width(M, sync-precedes): the offline vector size (Figure 9)",
+            "Chains in Figure 9's partition: width(M, sync-precedes) "
+            "under the matching strategy",
+        )
+        self.offline_vector_size = registry.gauge(
+            "offline_vector_size",
+            "Components per offline vector: extensions in Figure 9's "
+            "sum-rule realizer (at most the chain count)",
         )
         self.theorem8_bound = registry.gauge(
             "theorem8_bound",

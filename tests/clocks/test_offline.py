@@ -21,6 +21,7 @@ from repro.graphs.generators import (
     path_topology,
     star_topology,
 )
+from repro.obs.instrument import piggyback_size_bytes
 from repro.order.checker import check_encoding
 from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation
@@ -71,7 +72,10 @@ class TestTheorem8:
     def test_adversarial_workload_hits_bound(self):
         topology = complete_topology(8)
         computation = adversarial_antichain_computation(topology, 4)
-        assert offline_vector_size(computation) == 4  # floor(8/2)
+        assert width(message_poset(computation)) == 4  # floor(8/2)
+        # Four disjoint channels give four one-chain components, which
+        # the sum rule realizes with two extensions.
+        assert offline_vector_size(computation) == 2
 
     def test_chain_workload_width_one(self):
         topology = complete_topology(6)
@@ -166,19 +170,21 @@ class TestPinnedOutputs:
     inputs pin that the block-local results are byte-identical to the
     global ones: the timestamp file (``assignment_to_dict`` with sorted
     keys) and the minimum chain partition (message names per chain, in
-    order).  The federated cases have 8 and 16 blocks; the
-    client-server case is one block.
+    order).  The federated cases have 8 and 16 blocks, and their
+    timestamps carry 8 sum-rule components (widths 64 and 128); the
+    client-server case is one block, stamped with one extension per
+    chain.
     """
 
     CASES = {
         "federated-8x500": (
             lambda: multi_cluster_computation(8, 500, random.Random(11)),
-            "8f5fa10bed97253ec3c2f44bdac9ff8febc99876efb084fd53076e2ae7ec26e3",
+            "58523a3b9f23d04034bfd60a38d7318f9e4ef811c19c7e4564f8becfa2ac419b",
             "895427a612723e575844206dc412f01c27e75dfcb9ab5a3a26d28c4ff779d982",
         ),
         "federated-16x125": (
             lambda: multi_cluster_computation(16, 125, random.Random(7)),
-            "bb7f4baf1074f4e812231a5d30afb8d36e3eded9d356ead8f132d412e013b6d7",
+            "83d68c04690660fabd3e3deee21be0c648cce5e1585b96d9db90f89b7de554b5",
             "f380912ab4822dc0f76db57391480bced4fb60df76d8f9324645ba9557ca18cf",
         ),
         "client-server-3x27": (
@@ -203,3 +209,51 @@ class TestPinnedOutputs:
             for chain in clock.chain_partition
         ]
         assert _sha256_json(chains) == chains_digest
+
+
+class TestDisjointSum:
+    """Figure 9 on a message poset with several connected components:
+    the sum rule stamps ``max(2, max_i width(P_i))`` components."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: multi_cluster_computation(4, 120, random.Random(11)),
+            lambda: multi_cluster_computation(
+                5, 100, random.Random(3), server_count=2, client_count=3
+            ),
+            lambda: adversarial_antichain_computation(
+                complete_topology(40), 25
+            ),
+        ],
+        ids=["federated-4x120", "cells-5x100", "adversarial-K40x25"],
+    )
+    def test_exhaustive_theorem4(self, build):
+        computation = build()
+        assert len(computation) <= 500
+        clock = OfflineRealizerClock()
+        report = check_encoding(
+            clock, clock.timestamp_computation(computation)
+        )
+        assert report.characterizes
+        assert clock.timestamp_size < len(clock.chain_partition)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_federated_vector_size(self, seed):
+        computation = multi_cluster_computation(8, 500, random.Random(seed))
+        clock = OfflineRealizerClock()
+        assignment = clock.timestamp_computation(computation)
+        assert len(clock.chain_partition) == 64
+        assert clock.timestamp_size == 8
+        assert offline_vector_size(computation) == 8
+        piggyback = sum(
+            piggyback_size_bytes(vector) for _, vector in assignment.items()
+        )
+        assert piggyback / len(computation) == pytest.approx(15.744)
+
+    def test_adversarial_vector_size(self):
+        computation = adversarial_antichain_computation(
+            complete_topology(40), 25
+        )
+        assert width(message_poset(computation)) == 20  # floor(40/2)
+        assert offline_vector_size(computation) == 2

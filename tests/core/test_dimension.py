@@ -16,7 +16,7 @@ from repro.core.dimension import (
     reverses_pair,
     standard_example,
 )
-from repro.core.linear_extensions import minimum_width_realizer
+from repro.core.linear_extensions import is_realizer, minimum_width_realizer
 from repro.core.poset import Poset
 from repro.exceptions import PosetError
 
@@ -103,6 +103,18 @@ class TestDimension:
         poset = standard_example(3)
         realizer = minimum_width_realizer(poset)
         assert len(realizer) == dimension_upper_bound(poset)
+
+    def test_upper_bound_on_a_disjoint_sum(self):
+        # Two vees (a < b, a < c) side by side: width 4, but the sum
+        # rule realizes the sum with max(2, 2) = 2 extensions.
+        poset = Poset(
+            "abcxyz", [("a", "b"), ("a", "c"), ("x", "y"), ("x", "z")]
+        )
+        realizer = minimum_width_realizer(poset)
+        assert is_realizer(poset, realizer)
+        assert len(realizer) == dimension_upper_bound(poset) == 2
+        assert width(poset) > dimension_upper_bound(poset)
+        assert dimension_upper_bound(poset) >= dimension(poset)
 
 
 class TestCriticalPairs:

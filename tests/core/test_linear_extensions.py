@@ -24,10 +24,14 @@ from repro.core.linear_extensions import (
 from repro.core.poset import Poset
 from repro.core.poset_reference import ReferencePoset
 from repro.exceptions import NotALinearExtensionError, PosetError
-from repro.order.message_order import covering_pairs
+from repro.graphs.generators import complete_topology
+from repro.order.message_order import covering_pairs, message_poset
+from repro.sim.workload import adversarial_antichain_computation
 from tests.strategies import (
     clustered_computations,
+    comparability_components,
     computations,
+    merged_cluster_computations,
     posets_from_computations,
 )
 
@@ -194,9 +198,42 @@ def _augmented_fifo_sort(poset, chain):
     return order
 
 
+def _assert_sum_of_forced_sorts(poset, chains):
+    """The realizer joins per-component forced extensions by the sum
+    rule: extension ``k`` lists the component blocks forward (reversed
+    when ``k == 1``), and each block is the reference sort for that
+    component's ``k``-th chain (its last one once it runs out),
+    computed on the whole poset and restricted to the component."""
+    realizer = realizer_from_chain_partition(poset, chains)
+    components = comparability_components(poset)
+    groups = [
+        [chain for chain in chains if chain[0] in component]
+        for component in components
+    ]
+    assert sum(map(len, groups)) == len(chains)
+    if len(components) == 1:
+        assert len(realizer) == len(chains)
+    else:
+        assert len(realizer) == max(2, max(map(len, groups)))
+    for k, extension in enumerate(realizer):
+        layout = components[::-1] if k == 1 else components
+        assert extension == [
+            e for component in layout for e in extension if e in component
+        ]
+        for component, group in zip(components, groups):
+            chain = group[min(k, len(group) - 1)]
+            assert [e for e in extension if e in component] == [
+                e
+                for e in _augmented_fifo_sort(poset, chain)
+                if e in component
+            ]
+
+
 class TestForcedExtensionOracle:
-    """Every extension of the realizer equals the reference sort over
-    the materialised augmented relation, on both poset kernels."""
+    """Every extension of the realizer, restricted to a connected
+    component, equals the reference sort over the materialised
+    augmented relation restricted the same way, and the components sit
+    in the sum rule's layout; on both poset kernels."""
 
     @pytest.mark.parametrize(
         "partition", [minimum_chain_partition, greedy_chain_partition]
@@ -212,6 +249,9 @@ class TestForcedExtensionOracle:
             clustered_computations(
                 max_clusters=3, max_messages_per_cluster=10
             ),
+            merged_cluster_computations(
+                max_clusters=3, max_messages_per_cluster=10
+            ),
         )
     )
     def test_matches_augmented_sort(self, partition, computation):
@@ -222,11 +262,20 @@ class TestForcedExtensionOracle:
         ):
             if len(poset) == 0:
                 continue
-            chains = partition(poset)
-            realizer = realizer_from_chain_partition(poset, chains)
-            assert len(realizer) == len(chains)
-            for chain, extension in zip(chains, realizer):
-                assert extension == _augmented_fifo_sort(poset, chain)
+            _assert_sum_of_forced_sorts(poset, partition(poset))
+
+    @pytest.mark.parametrize(
+        "partition", [minimum_chain_partition, greedy_chain_partition]
+    )
+    def test_interleaved_components(self, partition):
+        # Four disjoint channels fired in rounds: four one-chain
+        # components, interleaved in insertion order.
+        computation = adversarial_antichain_computation(
+            complete_topology(8), 3
+        )
+        poset = message_poset(computation)
+        assert len(comparability_components(poset)) == 4
+        _assert_sum_of_forced_sorts(poset, partition(poset))
 
 
 class TestIntersection:

@@ -7,12 +7,19 @@ from repro.clocks.offline import OfflineRealizerClock
 from repro.clocks.online import OnlineEdgeClock
 from repro.core.vector import VectorTimestamp
 from repro.graphs.decomposition import decompose
-from repro.graphs.generators import ring_topology, tree_topology
+from repro.graphs.generators import (
+    complete_topology,
+    ring_topology,
+    tree_topology,
+)
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN
 from repro.sim.runtime import ScriptRunner, receive, send
-from repro.sim.workload import random_computation
+from repro.sim.workload import (
+    adversarial_antichain_computation,
+    random_computation,
+)
 
 
 class TestLifecycle:
@@ -184,6 +191,7 @@ class TestOfflineClockIntegration:
             }
 
         assert snap["offline_width"]["value"] == clock.timestamp_size
+        assert snap["offline_vector_size"]["value"] == clock.timestamp_size
         # Theorem 8: width <= floor(N_active / 2).
         assert (
             snap["offline_width"]["value"]
@@ -195,6 +203,23 @@ class TestOfflineClockIntegration:
             "offline.realizer",
             "offline.rank_vectors",
         } <= names
+
+
+    def test_width_and_vector_size_gauges_on_a_disjoint_sum(self):
+        # Four disjoint channels: four one-chain components, width 4,
+        # realized by the sum rule with two extensions.
+        computation = adversarial_antichain_computation(
+            complete_topology(8), 3
+        )
+        with instrument.enabled_session() as obs:
+            clock = OfflineRealizerClock()
+            clock.timestamp_computation(computation)
+            snap = obs.registry.snapshot()
+
+        assert snap["offline_width"]["value"] == 4
+        assert snap["offline_vector_size"]["value"] == 2
+        assert clock.timestamp_size == 2
+        assert snap["theorem8_bound"]["value"] == 4
 
 
 class TestRuntimeIntegration:

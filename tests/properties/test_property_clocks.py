@@ -8,6 +8,7 @@ timestamps are exhaustively compared against the ground-truth poset.
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.clocks.fm import FMMessageClock
 from repro.clocks.lamport import LamportMessageClock
@@ -21,13 +22,29 @@ from repro.graphs.decomposition import (
 )
 from repro.order.checker import check_encoding
 from repro.order.message_order import message_poset
-from tests.strategies import computations, nonempty_computations
+from tests.strategies import (
+    clustered_computations,
+    comparability_components,
+    computations,
+    merged_cluster_computations,
+    nonempty_computations,
+)
 
 RELAXED = settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _sum_rule_size(poset):
+    """``width(P)`` for a connected poset, else ``max(2, max_i
+    width(P_i))`` over its connected components ``P_i``."""
+    widths = [
+        width(poset.restricted_to(component))
+        for component in comparability_components(poset)
+    ]
+    return widths[0] if len(widths) == 1 else max(2, *widths)
 
 
 class TestOnlineClockProperties:
@@ -103,13 +120,27 @@ class TestOfflineClockProperties:
         assert report.characterizes
 
     @RELAXED
+    @given(
+        st.one_of(
+            clustered_computations(), merged_cluster_computations()
+        )
+    )
+    def test_equation_one_on_disjoint_sums(self, computation):
+        clock = OfflineRealizerClock()
+        report = check_encoding(
+            clock, clock.timestamp_computation(computation)
+        )
+        assert report.characterizes
+
+    @RELAXED
     @given(nonempty_computations(max_messages=30))
     def test_vector_size_is_width_and_within_bound(self, computation):
         clock = OfflineRealizerClock()
         clock.timestamp_computation(computation)
         poset = message_poset(computation)
-        assert clock.timestamp_size == width(poset)
-        assert clock.timestamp_size <= max(1, theorem8_bound(computation))
+        assert clock.timestamp_size == _sum_rule_size(poset)
+        assert clock.timestamp_size <= width(poset)
+        assert width(poset) <= max(1, theorem8_bound(computation))
 
 
 class TestBaselineProperties:

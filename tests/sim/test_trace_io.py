@@ -83,6 +83,16 @@ class TestAssignmentRoundTrip:
         with pytest.raises(SimulationError):
             assignment_from_dict(computation, data)
 
+    def test_mixed_lengths_rejected(self):
+        computation = random_computation(
+            complete_topology(4), 5, random.Random(2)
+        )
+        clock = OnlineEdgeClock(decompose(computation.topology))
+        data = assignment_to_dict(clock.timestamp_computation(computation))
+        data["timestamps"]["m3"].append(0)
+        with pytest.raises(SimulationError, match="'m1' has .*'m3' has"):
+            assignment_from_dict(computation, data)
+
     def test_infinity_components_survive(self):
         from repro.clocks.base import TimestampAssignment
         from repro.core.vector import VectorTimestamp

@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the property-based tests.
+"""Hypothesis strategies shared by the property-based tests, plus the
+reference component split the offline realizer tests compare against.
 
 The strategies generate *valid* inputs by construction: connected-ish
 topologies with at least one edge, and computations whose messages all
@@ -8,6 +9,7 @@ travel along topology edges.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -103,6 +105,50 @@ def clustered_computations(
         server_count=2,
         client_count=3,
     )
+
+
+@st.composite
+def merged_cluster_computations(draw, **kwargs):
+    """A :func:`clustered_computations` input whose clusters' message
+    sequences are randomly interleaved.
+
+    Every cluster keeps its own message order, so the message poset is
+    still a disjoint sum, but its components now interleave in insertion
+    order and ``diagonal_blocks`` usually sees a single block.
+    """
+    computation = draw(clustered_computations(**kwargs))
+    queues = {}
+    for message in computation.messages:
+        cluster = message.sender.split("_")[0]
+        queues.setdefault(cluster, deque()).append(
+            (message.sender, message.receiver)
+        )
+    tags = [cluster for cluster, queue in queues.items() for _ in queue]
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    random.Random(seed).shuffle(tags)
+    return SyncComputation.from_pairs(
+        computation.topology, [queues[cluster].popleft() for cluster in tags]
+    )
+
+
+def comparability_components(poset):
+    """Reference: the connected components of ``poset``'s comparability
+    graph, as element sets numbered by their first element in insertion
+    order (the numbering the sum-rule realizer uses)."""
+    components, seen = [], set()
+    for start in poset.elements:
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for y in poset.elements:
+                if y not in component and poset.comparable(x, y):
+                    component.add(y)
+                    frontier.append(y)
+        seen |= component
+        components.append(component)
+    return components
 
 
 @st.composite

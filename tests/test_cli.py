@@ -433,6 +433,10 @@ class TestMalformedAssignments:
             lambda data: data["timestamps"].update(m1=3),
             "'int' object is not iterable",
         ),
+        "mixed-lengths": (
+            lambda data: data["timestamps"]["m2"].append(0),
+            "timestamps differ in length: 'm1' has",
+        ),
     }
 
     @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
