@@ -31,7 +31,14 @@ header, see :func:`repro.sim.wire.parse_wire_format`):
     to the full-vector path (property-tested).  Resyncs are emitted
     periodically (``resync_interval``), on :meth:`force_resync` (a
     reclaimed/timed-out offer whose frame never reached the decoder),
-    and whenever the delta would not be smaller than the full frame.
+    and whenever the delta would be at least ``size + 1`` bytes long,
+    the length of the shortest resync frame (a one-byte tag and one
+    byte per component).  A frame whose tags and increments all fit in
+    one byte (the common case: ``size <= 127``, increments below 128)
+    is built by slice assignment and read back as its even and odd
+    bytes; any other frame goes one varint at a time, to the same
+    bytes.  The decoder validates a whole frame before it applies any
+    of it, so a rejected frame leaves the channel snapshot unchanged.
 
 ``bounded:K``
     Stateless lossy frames inspired by the K-entry clock ring of
@@ -63,6 +70,8 @@ the dict operations themselves are atomic under CPython.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import sub
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.vector import VectorTimestamp
@@ -75,7 +84,9 @@ from repro.sim.wire import (
     WIRE_FORMAT_FULL,
     WireError,
     decode_varint,
+    decode_varints,
     encode_varint,
+    encode_varints,
     parse_wire_format,
 )
 
@@ -193,16 +204,12 @@ class FullVectorCodec(PiggybackCodec):
     kind = WIRE_FORMAT_FULL
 
     def encode(self, key: ChannelKey, vector) -> bytes:
-        blob = b"".join(encode_varint(component) for component in vector)
+        blob = encode_varints(vector)
         self._account(blob, resync=False)
         return blob
 
     def decode(self, key: ChannelKey, blob: bytes) -> VectorTimestamp:
-        components = []
-        offset = 0
-        for _ in range(self._size):
-            value, offset = decode_varint(blob, offset)
-            components.append(value)
+        components, offset = decode_varints(blob, self._size)
         if offset != len(blob):
             raise WireError(
                 f"full piggyback frame has {len(blob) - offset} "
@@ -228,6 +235,7 @@ class DeltaChannelCodec(PiggybackCodec):
                 f"resyncs), got {resync_interval}"
             )
         self._resync_interval = resync_interval
+        self._tags = range(1, size + 1)
         self._sent: Dict[ChannelKey, List[int]] = {}
         self._since_full: Dict[ChannelKey, int] = {}
         self._received: Dict[ChannelKey, List[int]] = {}
@@ -253,13 +261,35 @@ class DeltaChannelCodec(PiggybackCodec):
         return stats
 
     # ------------------------------------------------------------------
-    def _full_blob(self, components: List[int]) -> bytes:
-        parts = [encode_varint(PB_TAG_FULL)]
-        parts.extend(encode_varint(value) for value in components)
-        return b"".join(parts)
+    def _delta_blob(
+        self, components: List[int], last: List[int]
+    ) -> Optional[bytes]:
+        """The delta frame from ``last`` to ``components``, or ``None``
+        when a resync frame must replace it."""
+        steps = list(map(sub, components, last))
+        increments = list(filter(None, steps))
+        if not increments:
+            return b""
+        # Non-monotone input (never the Figure 5 clock) cannot be
+        # expressed by increments.  And a delta takes at least two
+        # bytes per changed component: one no shorter than the
+        # shortest resync frame (size + 1 bytes) is not worth the
+        # statefulness.  Either way, resync instead.
+        if min(increments) < 0 or 2 * len(increments) > self._size:
+            return None
+        tags = list(compress(self._tags, steps))
+        if tags[-1] < 0x80 and max(increments) < 0x80:
+            frame = bytearray(2 * len(tags))
+            frame[0::2] = tags
+            frame[1::2] = increments
+            return bytes(frame)
+        blob = encode_varints(
+            list(chain.from_iterable(zip(tags, increments)))
+        )
+        return blob if len(blob) <= self._size else None
 
     def encode(self, key: ChannelKey, vector) -> bytes:
-        components = [int(value) for value in vector]
+        components = list(vector)
         if len(components) != self._size:
             raise WireError(
                 f"cannot encode a {len(components)}-component vector "
@@ -267,66 +297,60 @@ class DeltaChannelCodec(PiggybackCodec):
             )
         last = self._sent.get(key)
         if last is None:
-            last = [0] * self._size
-            self._sent[key] = last
+            last = self._sent[key] = [0] * self._size
             self._since_full[key] = 0
-        want_full = key in self._force or (
-            self._resync_interval > 0
-            and self._since_full[key] >= self._resync_interval
-        )
         blob: Optional[bytes] = None
-        if not want_full:
-            parts: List[bytes] = []
-            for index, (new, old) in enumerate(zip(components, last)):
-                if new == old:
-                    continue
-                if new < old:
-                    # Non-monotone input (never the Figure 5 clock);
-                    # increments cannot express it, so resync instead.
-                    want_full = True
-                    break
-                parts.append(encode_varint(index + 1))
-                parts.append(encode_varint(new - old))
-            if not want_full:
-                candidate = b"".join(parts)
-                # Fallback: a delta that saves nothing over the
-                # self-describing frame is not worth the statefulness.
-                if len(candidate) >= self._size + 1:
-                    want_full = True
-                else:
-                    blob = candidate
-        if want_full:
-            blob = self._full_blob(components)
+        if key not in self._force and not (
+            self._resync_interval
+            and self._since_full[key] >= self._resync_interval
+        ):
+            blob = self._delta_blob(components, last)
+        resync = blob is None
+        if resync:
+            blob = encode_varints([PB_TAG_FULL, *components])
             self._force.discard(key)
             self._since_full[key] = 0
         else:
             self._since_full[key] += 1
             self.delta_frames += 1
         last[:] = components
-        assert blob is not None
-        self._account(blob, resync=want_full)
+        self._account(blob, resync=resync)
         return blob
 
     def decode(self, key: ChannelKey, blob: bytes) -> VectorTimestamp:
         last = self._received.get(key)
         if last is None:
-            last = [0] * self._size
-            self._received[key] = last
+            last = self._received[key] = [0] * self._size
         if not blob:
             return VectorTimestamp(last)
+        # A frame of one-byte, nonzero varints in pairs is a delta frame
+        # whose tags and increments are its even and odd bytes.
+        if not len(blob) & 1 and 0 not in blob and blob.isascii():
+            tags = blob[0::2]
+            if max(tags) <= self._size:
+                for tag, increment in zip(tags, blob[1::2]):
+                    last[tag - 1] += increment
+                return VectorTimestamp(last)
+        self._apply_frame(last, blob)
+        return VectorTimestamp(last)
+
+    def _apply_frame(self, last: List[int], blob: bytes) -> None:
+        """Decode any frame into ``last``, one varint at a time.
+
+        Every pair is validated before the first is applied, so a
+        rejected frame leaves the channel snapshot untouched.
+        """
         tag, offset = decode_varint(blob, 0)
         if tag == PB_TAG_FULL:
-            components = []
-            for _ in range(self._size):
-                value, offset = decode_varint(blob, offset)
-                components.append(value)
+            components, offset = decode_varints(blob, self._size, offset)
             if offset != len(blob):
                 raise WireError(
                     "resync frame has trailing bytes after "
                     f"{self._size} components"
                 )
             last[:] = components
-            return VectorTimestamp(last)
+            return
+        pairs = []
         while True:
             index = tag - 1
             if not 0 <= index < self._size:
@@ -337,10 +361,12 @@ class DeltaChannelCodec(PiggybackCodec):
             increment, offset = decode_varint(blob, offset)
             if increment == 0:
                 raise WireError("delta frame carries a zero increment")
-            last[index] += increment
+            pairs.append((index, increment))
             if offset == len(blob):
-                return VectorTimestamp(last)
+                break
             tag, offset = decode_varint(blob, offset)
+        for index, increment in pairs:
+            last[index] += increment
 
 
 class BoundedEntryCodec(PiggybackCodec):

@@ -262,17 +262,17 @@ def stamp_batch_wire(
         offer_blob = codec.encode(offer_key, send)
         ack_blob = codec.encode(ack_key, recv)
         if verify:
-            decoded_offer = list(codec.decode(offer_key, offer_blob))
-            if decoded_offer != send:
+            decoded_offer = codec.decode(offer_key, offer_blob)
+            if decoded_offer.components != tuple(send):
                 raise ValueError(
                     f"offer frame on {vertices[s]}->{vertices[r]} "
-                    f"decoded to {decoded_offer}, expected {send}"
+                    f"decoded to {list(decoded_offer)}, expected {send}"
                 )
-            decoded_ack = list(codec.decode(ack_key, ack_blob))
-            if decoded_ack != recv:
+            decoded_ack = codec.decode(ack_key, ack_blob)
+            if decoded_ack.components != tuple(recv):
                 raise ValueError(
                     f"ack frame on {vertices[r]}->{vertices[s]} "
-                    f"decoded to {decoded_ack}, expected {recv}"
+                    f"decoded to {list(decoded_ack)}, expected {recv}"
                 )
         recv[:] = map(max, recv, send)
         recv[group] += 1

@@ -389,9 +389,12 @@ class RuntimeStats:
     with the threaded runtime's ``piggyback_size_bytes`` accounting.
     ``piggyback_wire_bytes`` counts every socket leg those vectors
     actually travelled (twice the algorithmic cost under the
-    star-through-coordinator transport).  ``traffic_seconds`` spans the
-    first offer to the last commit, which is the window ``msg/s``
-    describes; ``wall_seconds`` includes process spawn and teardown.
+    star-through-coordinator transport).  ``frame_bytes`` counts every
+    byte the coordinator's sockets moved in either direction: length
+    prefix, kind, JSON header and piggyback, of every frame.
+    ``traffic_seconds`` spans the first offer to the last commit, which
+    is the window ``msg/s`` describes; ``wall_seconds`` includes
+    process spawn and teardown.
     """
 
     nodes: int = 0
@@ -401,6 +404,7 @@ class RuntimeStats:
     frames: int = 0
     piggyback_bytes: int = 0
     piggyback_wire_bytes: int = 0
+    frame_bytes: int = 0
     #: The negotiated piggyback format of the run ("full" / "delta" /
     #: "bounded:K"); ``piggyback_bytes`` measures whatever format was
     #: actually on the wire.
@@ -437,6 +441,13 @@ class RuntimeStats:
             return 0.0
         return self.piggyback_bytes / self.messages
 
+    @property
+    def frame_bytes_per_message(self) -> float:
+        """Total frame bytes per committed message (both directions)."""
+        if self.messages <= 0:
+            return 0.0
+        return self.frame_bytes / self.messages
+
     def block_quantiles_ms(self) -> Dict[str, float]:
         return {
             f"p{int(q * 100)}": self.block_sketch.quantile(q) * 1e3
@@ -453,6 +464,8 @@ class RuntimeStats:
             "piggyback_bytes": self.piggyback_bytes,
             "piggyback_wire_bytes": self.piggyback_wire_bytes,
             "piggyback_bytes_per_message": self.piggyback_bytes_per_message,
+            "frame_bytes": self.frame_bytes,
+            "frame_bytes_per_message": self.frame_bytes_per_message,
             "wire_format": self.wire_format,
             "delta_resync_total": self.delta_resync_total,
             "telemetry_frames": self.telemetry_frames,
@@ -605,7 +618,9 @@ class _Coordinator:
         if conn is None:
             return
         try:
-            send_message(conn, kind, header, vec)
+            self.result.stats.frame_bytes += send_message(
+                conn, kind, header, vec
+            )
         except OSError:
             self._drop_connection(conn, error=True)
 
@@ -1159,6 +1174,7 @@ class _Coordinator:
                 conn, error=self._names.get(conn) is not None
             )
             return
+        self.result.stats.frame_bytes += len(chunk)
         buffer = self._buffers[conn]
         buffer.feed(chunk)
         while True:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.vector import VectorTimestamp
 from repro.exceptions import SimulationError
@@ -144,19 +144,48 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
             raise WireError("varint exceeds 64 bits")
 
 
+def encode_varints(values: Sequence[int]) -> bytes:
+    """The varints of ``values``, concatenated.
+
+    A value below ``0x80`` is its own one-byte varint, so a run of them
+    is built by one ``bytes`` call; any other run falls back to
+    :func:`encode_varint` per value.
+    """
+    if not values or (max(values) < 0x80 and min(values) >= 0):
+        return bytes(values)
+    return b"".join(map(encode_varint, values))
+
+
+def decode_varints(
+    data: bytes, count: int, offset: int = 0
+) -> Tuple[List[int], int]:
+    """Decode ``count`` varints; returns ``(values, next_offset)``.
+
+    When the next ``count`` bytes are all below ``0x80``, each is one
+    whole varint and the run is read as one slice; otherwise the
+    values are decoded one :func:`decode_varint` at a time.
+    """
+    end = offset + count
+    run = data[offset:end]
+    if len(run) == count and max(run, default=0) < 0x80:
+        return list(run), end
+    values = []
+    for _ in range(count):
+        value, offset = decode_varint(data, offset)
+        values.append(value)
+    return values, offset
+
+
 def encode_vector(vector: VectorTimestamp) -> bytes:
     """The piggyback bytes of one vector: LEB128 per component."""
-    return b"".join(encode_varint(component) for component in vector)
+    return encode_varints(vector)
 
 
 def decode_vector(
     data: bytes, size: int, offset: int = 0
 ) -> Tuple[VectorTimestamp, int]:
     """Decode ``size`` components; returns ``(vector, next_offset)``."""
-    components = []
-    for _ in range(size):
-        value, offset = decode_varint(data, offset)
-        components.append(value)
+    components, offset = decode_varints(data, size, offset)
     return VectorTimestamp(components), offset
 
 
@@ -265,15 +294,19 @@ def send_message(
     header: Dict[str, Any],
     vector_bytes: bytes = b"",
 ) -> int:
-    """Frame and send one message on a raw socket; returns payload size."""
+    """Frame and send one message on a raw socket.
+
+    Returns the bytes written, the 4-byte length prefix included.
+    """
     payload = pack_message(kind, header, vector_bytes)
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(
             f"frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    _sendall(sock, _LEN.pack(len(payload)) + payload)
-    return len(payload)
+    frame = _LEN.pack(len(payload)) + payload
+    _sendall(sock, frame)
+    return len(frame)
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,28 @@ class TestDeltaChannelCodec:
         assert codec.resyncs == before + 1
         assert list(codec.decode(key, blob)) == [200, 201]
 
+    def test_delta_as_long_as_the_vector_is_kept(self):
+        """The fallback starts at ``size + 1`` bytes, the shortest
+        resync frame, on the one-byte and the multi-byte path."""
+        codec = DeltaChannelCodec(24)
+        key = channel_key("P1", "P2")
+        vector = [1] * 12 + [0] * 12
+        blob = codec.encode(key, vector)
+        assert (len(blob), codec.resyncs) == (24, 0)
+        assert list(codec.decode(key, blob)) == vector
+        vector = [2] * 13 + [0] * 11
+        blob = codec.encode(key, vector)
+        assert (len(blob), codec.resyncs) == (25, 1)
+        assert list(codec.decode(key, blob)) == vector
+
+        codec = DeltaChannelCodec(4)
+        blob = codec.encode(key, [200, 0, 0, 0])
+        assert (len(blob), codec.resyncs) == (3, 0)
+        assert list(codec.decode(key, blob)) == [200, 0, 0, 0]
+        blob = codec.encode(key, [400, 1, 0, 0])
+        assert codec.resyncs == 1
+        assert list(codec.decode(key, blob)) == [400, 1, 0, 0]
+
     def test_random_walk_roundtrip(self):
         rng = random.Random(5)
         codec = DeltaChannelCodec(5, resync_interval=3)
@@ -216,3 +238,83 @@ class TestBoundedEntryCodec:
         blob = wide.encode(key, vector)
         assert len(blob) <= 2 * 4  # two (index, value) varint pairs
         assert list(wide.decode(key, blob)) == vector
+
+
+#: A valid first pair for each decode path: one-byte varints, and a
+#: two-byte increment (129) that sends the frame down the per-varint
+#: path.
+FIRST_PAIRS = {
+    "one-byte": bytes([2, 3]),
+    "multi-byte": bytes([2, 0x81, 0x01]),
+}
+
+#: A valid size-4 resync frame for each decode path.
+RESYNC_FRAMES = {
+    "one-byte": bytes([0, 1, 2, 3, 4]),
+    "multi-byte": bytes([0, 1, 0x81, 0x01, 3, 4]),
+}
+
+
+class TestDeltaDecodeIsAtomic:
+    """A rejected frame raises and leaves the channel snapshot as it was.
+
+    Every bad frame below starts with a valid pair, which a decoder that
+    applied pairs as it read them would already have added.
+    """
+
+    @pytest.fixture(params=sorted(FIRST_PAIRS))
+    def path(self, request):
+        return request.param
+
+    def _assert_rejected(self, blob, match):
+        codec = DeltaChannelCodec(4)
+        key = channel_key("P1", "P2")
+        codec.decode(key, bytes([1, 5]))
+        with pytest.raises(WireError, match=match):
+            codec.decode(key, blob)
+        assert list(codec.decode(key, b"")) == [5, 0, 0, 0]
+
+    @pytest.mark.parametrize("tag", [5, 30])
+    def test_out_of_range_tag(self, path, tag):
+        self._assert_rejected(
+            FIRST_PAIRS[path] + bytes([tag, 1]),
+            f"names component {tag - 1} ",
+        )
+
+    def test_tag_zero_after_first_pair(self, path):
+        self._assert_rejected(
+            FIRST_PAIRS[path] + bytes([0, 1]), "names component -1 "
+        )
+
+    def test_zero_increment(self, path):
+        self._assert_rejected(
+            FIRST_PAIRS[path] + bytes([3, 0]), "zero increment"
+        )
+
+    def test_truncated_varint(self, path):
+        self._assert_rejected(FIRST_PAIRS[path] + bytes([1]), "truncated")
+        self._assert_rejected(
+            FIRST_PAIRS[path] + bytes([1, 0x80]), "truncated"
+        )
+
+    def test_trailing_bytes_after_resync_frame(self, path):
+        self._assert_rejected(
+            RESYNC_FRAMES[path] + bytes([9]), "trailing bytes"
+        )
+
+    def test_varint_over_64_bits(self, path):
+        self._assert_rejected(
+            FIRST_PAIRS[path] + bytes([1] + [0xFF] * 10 + [1]),
+            "exceeds 64 bits",
+        )
+
+    def test_valid_frames_on_both_paths(self, path):
+        codec = DeltaChannelCodec(4)
+        key = channel_key("P1", "P2")
+        increment = 3 if path == "one-byte" else 129
+        assert list(codec.decode(key, FIRST_PAIRS[path])) == [
+            0, increment, 0, 0
+        ]
+        assert list(codec.decode(key, RESYNC_FRAMES[path])) == [
+            1, 2 if path == "one-byte" else 129, 3, 4
+        ]

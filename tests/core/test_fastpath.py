@@ -72,3 +72,46 @@ class TestStampBatch:
             stamp_batch(computation, decomposition)
         with pytest.raises(IndexError, match="out of range"):
             stamp_batch_wire(computation, decomposition)
+
+
+class TestCodecSeam:
+    """``stamp_batch_wire`` reaches its codec through the seam that the
+    repo benchmark's traced run wraps: it resolves
+    ``repro.clocks.delta.make_codec`` when called, then calls the
+    codec's ``encode``/``decode`` instance attributes once per frame."""
+
+    @pytest.mark.parametrize("wire_format", ["full", "delta"])
+    def test_verify_makes_two_encodes_and_two_decodes_per_message(
+        self, monkeypatch, wire_format
+    ):
+        from repro.clocks import delta
+
+        calls = {"encode": 0, "decode": 0}
+        original = delta.make_codec
+
+        def counting_codec(*args, **kwargs):
+            codec = original(*args, **kwargs)
+            for name in calls:
+                # An instance-level override, as bench's tracer installs.
+                method = getattr(codec, name)
+                setattr(codec, name, _counted(calls, name, method))
+            return codec
+
+        monkeypatch.setattr(delta, "make_codec", counting_codec)
+        topology = star_topology(4)
+        decomposition = decompose(topology)
+        computation = random_computation(topology, 40, random.Random(3))
+        timestamps, stats = stamp_batch_wire(
+            computation, decomposition, wire_format=wire_format, verify=True
+        )
+        assert calls == {"encode": 80, "decode": 80}
+        assert stats.frames == 80
+        assert timestamps == stamp_batch(computation, decomposition)
+
+
+def _counted(calls, name, method):
+    def counted(*args):
+        calls[name] += 1
+        return method(*args)
+
+    return counted

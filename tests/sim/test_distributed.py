@@ -35,6 +35,13 @@ from repro.sim.distributed import (
     run_load,
 )
 from repro.sim.wire import (
+    MSG_ACK_DOWN,
+    MSG_ACK_UP,
+    MSG_DELIVER,
+    MSG_DONE,
+    MSG_HELLO,
+    MSG_OFFER,
+    MSG_RECV,
     FrameBuffer,
     WireError,
     decode_varint,
@@ -57,6 +64,11 @@ class TestWireCodec:
     def test_varint_rejects_negative(self):
         with pytest.raises(WireError):
             encode_varint(-1)
+
+    def test_vector_rejects_negative(self):
+        for components in ([-1], [0, -1], [300, -1]):
+            with pytest.raises(WireError):
+                encode_vector(components)
 
     def test_vector_roundtrip(self):
         vector = VectorTimestamp([0, 1, 127, 128, 70000])
@@ -125,6 +137,37 @@ class TestDistributedBasics:
         # One vector on the offer leg plus one on the ack leg; both are
         # the single-component zero vector here (1 LEB128 byte each).
         assert transport.stats.piggyback_bytes == 2
+
+    def test_frame_bytes_count_every_byte_both_ways(self):
+        """Length prefix, kind, header and piggyback of every frame."""
+        decomposition = decompose(path_topology(2))
+        transport = DistributedScriptRunner(
+            decomposition,
+            {"P1": [send("P2", "hello")], "P2": [receive("P1")]},
+            timeout=10.0,
+        ).run()
+        hello = {"actions": 1, "wire_format": "full"}
+        zero = encode_vector([0])
+        frames = [
+            # node -> coordinator
+            (MSG_HELLO, {"node": "P1", **hello}, b""),
+            (MSG_HELLO, {"node": "P2", **hello}, b""),
+            (MSG_OFFER, {"to": "P2", "payload": "hello"}, zero),
+            (MSG_RECV, {"source": "P1"}, b""),
+            (MSG_ACK_UP, {"timestamp": [1]}, zero),
+            (MSG_DONE, {}, b""),
+            (MSG_DONE, {}, b""),
+            # coordinator -> node
+            (MSG_DELIVER, {"sender": "P1", "payload": "hello"}, zero),
+            (MSG_ACK_DOWN, {"timestamp": [1]}, zero),
+        ]
+        expected = sum(
+            4 + len(pack_message(kind, header, piggy))
+            for kind, header, piggy in frames
+        )
+        assert transport.stats.frame_bytes == expected
+        assert transport.stats.frame_bytes_per_message == expected
+        assert transport.stats.to_dict()["frame_bytes"] == expected
 
     def test_request_reply_matches_threaded_runtime(self):
         decomposition = decompose(path_topology(2))
