@@ -87,7 +87,7 @@ bench-lattice:
 bench-runtime:
 	$(PYTHON) -m pytest benchmarks/test_bench_runtime.py -q
 
-# Piggyback wire-format shootout (full vs. delta vs. bounded:K) plus
+# Piggyback wire-format shootout (full vs. delta) plus
 # the 120-node socket-runtime byte-reduction run; refreshes
 # BENCH_wire.json.  Set BENCH_WIRE_SMOKE=1 for a tiny run that leaves
 # the committed snapshot untouched (the CI smoke step); set

@@ -121,8 +121,8 @@ def record_wire_perf(key: str, value) -> None:
     """Add one entry to the ``BENCH_wire.json`` perf snapshot.
 
     Tracks the piggyback wire-format shootout (full varint vectors vs.
-    the differential codec vs. bounded-K): bytes per message on the
-    wire, stamp+encode throughput, and comparison throughput.
+    the differential codec): bytes per message on the wire,
+    stamp+encode throughput, and comparison throughput.
     """
     _WIRE_SNAPSHOT[key] = value
 

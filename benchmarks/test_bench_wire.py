@@ -3,7 +3,7 @@
 Streams a 10^6-message federated workload (independent client/server
 clusters, ``multi_cluster_computation`` — ~100 edge groups after
 decomposition but each channel only ever sees its own cluster's slice
-of them) through ``stamp_batch_wire`` in each of the three wire
+of them) through ``stamp_batch_wire`` in each of the two wire
 formats and reports, per format:
 
 * **bytes/message** on the wire — offer leg + acknowledgement leg,
@@ -23,11 +23,6 @@ The formats:
     Per-channel differential frames (changed components only) with
     periodic full-vector resyncs — the Singhal–Kshemkalyani idea
     generalized from process indices to edge-group components.
-
-``bounded:K``
-    K-entry lossy frames: the K hottest components exact, the rest
-    saturated to zero (Drummond–Barbosa bounded clocks).  The measured
-    false-concurrency rate (``repro.obs.audit``) is reported alongside.
 
 A correctness pin runs before any timing: the delta path must produce
 **byte-identical** timestamps to the plain ``stamp_batch`` fused
@@ -53,7 +48,6 @@ from repro.core.fastpath import stamp_batch, stamp_batch_wire
 from repro.core.vector import dominates
 from repro.graphs.decomposition import decompose
 from repro.graphs.generators import ring_topology
-from repro.obs.audit import Auditor
 from repro.sim.distributed import run_load
 from repro.sim.workload import multi_cluster_computation, random_computation
 
@@ -72,18 +66,10 @@ CLUSTERS = 2 if SMOKE else 12
 SERVERS = 4 if SMOKE else 8
 CLIENTS = 6 if SMOKE else 22
 
-#: The lossiness topology: a 120-process ring — 60 edge groups, all of
-#: them eventually hot in every vector, so bounded-K genuinely loses
-#: information there.
-RING_SIZE = 16 if SMOKE else 120
-
 #: Total messages streamed through each format.
 MESSAGE_TARGET = 20_000 if SMOKE else 1_000_000
 
-#: K for the bounded-entry row.
-BOUND_K = 8
-
-FORMATS = ("full", "delta", f"bounded:{BOUND_K}")
+FORMATS = ("full", "delta")
 
 #: Dominance checks timed for the compare-throughput column.
 COMPARE_OPS = 50_000 if SMOKE else 500_000
@@ -198,9 +184,8 @@ def test_wire_format_shootout(report_header):
         compare_elapsed = time.perf_counter() - compare_start
         compare_per_sec = checks / compare_elapsed
 
-        key = wire_format.replace(":", "_")
         record_wire_perf(
-            key,
+            wire_format,
             {
                 "wire_format": wire_format,
                 "messages": stats.messages,
@@ -222,42 +207,6 @@ def test_wire_format_shootout(report_header):
     # exists for; the tiny smoke shape only has to stay in the race.
     if not SMOKE:
         assert bytes_by_format["delta"] < bytes_by_format["full"] / 2
-
-
-def test_bounded_k_false_concurrency(report_header):
-    """Measure (not assume) what bounded-K loses.
-
-    Bounded timestamps under-approximate history by construction;
-    ``repro.obs.audit`` quantifies the damage as a false-concurrency
-    rate against the ground-truth synchronous order.
-    """
-    report_header(f"Bounded-K lossiness (K={BOUND_K})")
-    topology = ring_topology(RING_SIZE)
-    decomposition = decompose(topology)
-    message_count = 2_000 if SMOKE else 10_000
-    computation = random_computation(
-        topology, message_count, random.Random(11)
-    )
-    timestamps, _ = stamp_batch_wire(
-        computation, decomposition, wire_format=f"bounded:{BOUND_K}"
-    )
-    audit = Auditor().measure_false_concurrency(computation, timestamps)
-    record_wire_perf(
-        "bounded_audit",
-        {
-            "bound_k": BOUND_K,
-            "pairs_checked": audit["pairs_checked"],
-            "false_concurrency_rate": audit["false_concurrency_rate"],
-            "false_order_rate": audit["false_order_rate"],
-        },
-    )
-    emit(
-        f"  {int(audit['pairs_checked']):,} pairs audited: "
-        f"false_concurrency_rate="
-        f"{audit['false_concurrency_rate']:.4f} "
-        f"false_order_rate={audit['false_order_rate']:.4f}"
-    )
-    assert 0.0 <= audit["false_concurrency_rate"] <= 1.0
 
 
 def test_distributed_load_delta_reduction(report_header):

@@ -201,14 +201,10 @@ def cmd_decompose(args) -> int:
 
 
 def _stamp_wire(args, computation) -> int:
-    """``stamp --wire-format delta|bounded:K``: the codec fast path."""
+    """``stamp --wire-format delta``: the codec fast path."""
     from repro.clocks.base import TimestampAssignment
     from repro.core.fastpath import stamp_batch_wire
-    from repro.sim.wire import (
-        WIRE_FORMAT_BOUNDED,
-        WireError,
-        parse_wire_format,
-    )
+    from repro.sim.wire import WireError, parse_wire_format
 
     if args.clock != "online":
         raise SystemExit(
@@ -216,7 +212,7 @@ def _stamp_wire(args, computation) -> int:
             f"(got --clock {args.clock})"
         )
     try:
-        kind, bound_k = parse_wire_format(args.wire_format)
+        parse_wire_format(args.wire_format)
     except WireError as exc:
         raise SystemExit(f"--wire-format: {exc}") from exc
 
@@ -251,19 +247,6 @@ def _stamp_wire(args, computation) -> int:
         f"bytes_per_message={wire_stats.bytes_per_message:.3f} "
         f"resyncs={wire_stats.resyncs}"
     )
-    if kind == WIRE_FORMAT_BOUNDED:
-        from repro.obs.audit import Auditor
-
-        audit = Auditor().measure_false_concurrency(
-            computation, timestamps
-        )
-        print(
-            f"bounded:{bound_k} audit: "
-            f"pairs={int(audit['pairs_checked'])} "
-            f"false_concurrency_rate="
-            f"{audit['false_concurrency_rate']:.4f} "
-            f"false_order={int(audit['false_order'])}"
-        )
     return 0
 
 
@@ -1019,12 +1002,10 @@ def build_parser() -> argparse.ArgumentParser:
     stamp_cmd.add_argument(
         "--wire-format",
         default="full",
-        metavar="full|delta|bounded:K",
+        metavar="full|delta",
         help="piggyback codec for the online clock (default full): "
         "'delta' sends per-channel differential frames with periodic "
-        "resyncs (byte-identical timestamps), 'bounded:K' keeps the K "
-        "hottest components exact and reports the measured "
-        "false-concurrency rate",
+        "resyncs (byte-identical timestamps)",
     )
     stamp_cmd.set_defaults(handler=cmd_stamp)
 
@@ -1205,11 +1186,10 @@ def build_parser() -> argparse.ArgumentParser:
     dist_cmd.add_argument(
         "--wire-format",
         default="full",
-        metavar="full|delta|bounded:K",
+        metavar="full|delta",
         help="piggyback frame format, negotiated in the control "
         "header (default full): 'delta' sends differential frames "
-        "per channel with periodic resyncs, 'bounded:K' saturates "
-        "all but the K hottest components",
+        "per channel with periodic resyncs",
     )
     dist_cmd.set_defaults(handler=cmd_run_distributed)
 

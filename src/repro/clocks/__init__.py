@@ -2,11 +2,9 @@
 
 from repro.clocks.base import MessageTimestamper, TimestampAssignment
 from repro.clocks.delta import (
-    BoundedEntryCodec,
     DeltaChannelCodec,
     FullVectorCodec,
     PiggybackCodec,
-    bound_components,
     make_codec,
 )
 from repro.clocks.dependency import DependencyTracer, DirectDependencyRecord
@@ -32,14 +30,12 @@ from repro.clocks.singhal_kshemkalyani import (
 )
 
 __all__ = [
-    "BoundedEntryCodec",
     "DeltaChannelCodec",
     "FullVectorCodec",
     "PiggybackCodec",
     "PlausibleCombClock",
     "SKDifferentialClock",
     "TransmissionStats",
-    "bound_components",
     "make_codec",
     "ordering_accuracy",
     "DependencyTracer",

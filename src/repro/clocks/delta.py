@@ -10,7 +10,7 @@ last-received snapshot on the decoder side, and a frame carries only
 the ``(component_index, value)`` pairs that changed since the previous
 frame on that channel.
 
-Three piggyback wire formats (negotiated per connection in the control
+Two piggyback wire formats (negotiated per connection in the control
 header, see :func:`repro.sim.wire.parse_wire_format`):
 
 ``full``
@@ -40,25 +40,10 @@ header, see :func:`repro.sim.wire.parse_wire_format`):
     bytes.  The decoder validates a whole frame before it applies any
     of it, so a rejected frame leaves the channel snapshot unchanged.
 
-``bounded:K``
-    Stateless lossy frames inspired by the K-entry clock ring of
-    SNIPPETS' ``clockSync.py`` and Drummond–Barbosa's bounded matrix
-    clocks: the **K hottest components** (largest values, ties to the
-    lowest index) travel exactly as ``(index+1, value)`` pairs; every
-    other component saturates out of the window and reads as zero at
-    the decoder.  Both handshake sides bound their *own* vector with
-    the same rule before merging (see ``OnlineProcessClock(bound_k=K)``)
-    so sender and receiver still agree exactly on every committed
-    timestamp — but the timestamps now under-approximate the true
-    history, which turns some truly ordered pairs into apparent
-    concurrency.  That induced **false-concurrency rate** is a
-    measured quantity, not a hope: see
-    :meth:`repro.obs.audit.Auditor.measure_false_concurrency`.
-
 Observability follows the house discipline (read ``instrument.metrics``
 through the module object at call time, ``None``-test fast path):
-non-full codecs feed ``piggyback_delta_bytes_total`` and
-``delta_resync_total`` when instrumentation is on and cost nothing
+the delta codec feeds ``piggyback_delta_bytes_total`` and
+``delta_resync_total`` when instrumentation is on and costs nothing
 when it is off.
 
 Concurrency contract: a codec instance may be shared by many threads
@@ -72,31 +57,26 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from operator import sub
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.vector import VectorTimestamp
-from repro.exceptions import ClockError
 from repro.obs import instrument as _obs
 from repro.sim.wire import (
     PB_TAG_FULL,
-    WIRE_FORMAT_BOUNDED,
     WIRE_FORMAT_DELTA,
     WIRE_FORMAT_FULL,
     WireError,
     decode_varint,
     decode_varints,
-    encode_varint,
     encode_varints,
     parse_wire_format,
 )
 
 __all__ = [
     "DEFAULT_RESYNC_INTERVAL",
-    "BoundedEntryCodec",
     "DeltaChannelCodec",
     "FullVectorCodec",
     "PiggybackCodec",
-    "bound_components",
     "make_codec",
 ]
 
@@ -109,25 +89,6 @@ DEFAULT_RESYNC_INTERVAL = 64
 ChannelKey = Hashable
 
 
-def bound_components(components: Sequence[int], k: int) -> List[int]:
-    """The bounded-``k`` view of a vector: top-``k`` exact, rest zero.
-
-    "Hottest" means the ``k`` largest values, ties resolved toward the
-    lowest index, so the rule is deterministic and both handshake sides
-    compute the same bounded vector.  Idempotent by construction: a
-    vector with at most ``k`` nonzero entries is returned unchanged.
-    """
-    if k < 1:
-        raise ClockError(f"bounded-K needs K >= 1, got {k}")
-    values = list(components)
-    nonzero = [i for i, value in enumerate(values) if value]
-    if len(nonzero) <= k:
-        return values
-    keep = sorted(nonzero, key=lambda i: (-values[i], i))[:k]
-    kept = set(keep)
-    return [value if i in kept else 0 for i, value in enumerate(values)]
-
-
 class PiggybackCodec:
     """Base class: per-channel encode/decode of piggybacked vectors.
 
@@ -138,7 +99,6 @@ class PiggybackCodec:
     """
 
     kind: str = WIRE_FORMAT_FULL
-    bound_k: Optional[int] = None
 
     def __init__(self, size: int):
         if size < 0:
@@ -369,66 +329,15 @@ class DeltaChannelCodec(PiggybackCodec):
             last[index] += increment
 
 
-class BoundedEntryCodec(PiggybackCodec):
-    """Stateless lossy frames: at most ``k`` ``(index, value)`` pairs."""
-
-    kind = WIRE_FORMAT_BOUNDED
-
-    def __init__(self, size: int, k: int):
-        super().__init__(size)
-        if k < 1:
-            raise WireError(f"bounded-K needs K >= 1, got {k}")
-        self.bound_k = k
-
-    def encode(self, key: ChannelKey, vector) -> bytes:
-        # Defensive re-bound: the clock already bounded its vector, and
-        # bounding is idempotent, so this is a no-op on the hot path.
-        components = bound_components(
-            [int(value) for value in vector], self.bound_k
-        )
-        if len(components) != self._size:
-            raise WireError(
-                f"cannot encode a {len(components)}-component vector "
-                f"on a size-{self._size} channel"
-            )
-        parts: List[bytes] = []
-        for index, value in enumerate(components):
-            if value:
-                parts.append(encode_varint(index + 1))
-                parts.append(encode_varint(value))
-        blob = b"".join(parts)
-        self._account(blob, resync=False)
-        return blob
-
-    def decode(self, key: ChannelKey, blob: bytes) -> VectorTimestamp:
-        components = [0] * self._size
-        offset = 0
-        while offset < len(blob):
-            tag, offset = decode_varint(blob, offset)
-            index = tag - 1
-            if not 0 <= index < self._size:
-                raise WireError(
-                    f"bounded frame names component {index} of a "
-                    f"size-{self._size} vector"
-                )
-            value, offset = decode_varint(blob, offset)
-            components[index] = value
-        return VectorTimestamp(components)
-
-
 def make_codec(
     wire_format: str,
     size: int,
     resync_interval: int = DEFAULT_RESYNC_INTERVAL,
 ) -> PiggybackCodec:
-    """Build the codec for a ``full`` / ``delta`` / ``bounded:K`` spec."""
-    kind, k = parse_wire_format(wire_format)
-    if kind == WIRE_FORMAT_FULL:
+    """Build the codec for a ``full`` or ``delta`` spec."""
+    if parse_wire_format(wire_format) == WIRE_FORMAT_FULL:
         return FullVectorCodec(size)
-    if kind == WIRE_FORMAT_DELTA:
-        return DeltaChannelCodec(size, resync_interval=resync_interval)
-    assert kind == WIRE_FORMAT_BOUNDED and k is not None
-    return BoundedEntryCodec(size, k)
+    return DeltaChannelCodec(size, resync_interval=resync_interval)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ whole :class:`SyncComputation` through the handshake and implements the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.clocks.base import MessageTimestamper, TimestampAssignment
 from repro.core.fastpath import stamp_batch
@@ -48,47 +48,15 @@ class OnlineProcessClock:
     the algorithm; a real system calls them from its communication
     layer.  The class is deliberately free of any global knowledge
     beyond the (static, pre-agreed) edge decomposition.
-
-    ``bound_k`` switches on the lossy bounded mode that pairs with the
-    ``bounded:K`` wire format (:mod:`repro.clocks.delta`): the clock
-    saturates its own vector to the K hottest components before every
-    handshake step, so **both** sides commit
-    ``max(sat_K(v_i), sat_K(v_j))`` plus the increment — sender and
-    receiver still agree exactly on every timestamp, but timestamps now
-    under-approximate history (some truly ordered pairs read as
-    concurrent; the rate is measurable, see
-    ``Auditor.measure_false_concurrency``).
     """
 
-    def __init__(
-        self,
-        process: Process,
-        decomposition: EdgeDecomposition,
-        bound_k: Optional[int] = None,
-    ):
+    def __init__(self, process: Process, decomposition: EdgeDecomposition):
         self.process = process
         self._decomposition = decomposition
         self._vector = VectorTimestamp.zeros(decomposition.size)
-        if bound_k is not None and bound_k < 1:
-            raise ClockError(f"bound_k must be >= 1, got {bound_k}")
-        self._bound_k = bound_k
         m = _obs.metrics
         if m is not None:
             m.vector_component_count.set(decomposition.size)
-
-    @property
-    def bound_k(self) -> Optional[int]:
-        return self._bound_k
-
-    def _saturate(self) -> None:
-        """Bounded mode: clamp ``v_i`` to its K hottest components."""
-        if self._bound_k is None:
-            return
-        from repro.clocks.delta import bound_components
-
-        bounded = bound_components(self._vector, self._bound_k)
-        if bounded != list(self._vector):
-            self._vector = VectorTimestamp(bounded)
 
     @property
     def vector(self) -> VectorTimestamp:
@@ -97,7 +65,6 @@ class OnlineProcessClock:
 
     def prepare_send(self) -> VectorTimestamp:
         """Line (02): the vector to piggyback on an outgoing message."""
-        self._saturate()
         return self._vector
 
     def on_receive(
@@ -109,7 +76,6 @@ class OnlineProcessClock:
         before merging* — exactly the program order of Figure 5, where
         line (04) sends the ack before line (05) merges.
         """
-        self._saturate()
         ack_vector = self._vector
         group = self._decomposition.group_index_of(sender, self.process)
         self._vector = self._vector.join(piggybacked).incremented(group)
@@ -125,7 +91,6 @@ class OnlineProcessClock:
         self, receiver: Process, ack_vector: VectorTimestamp
     ) -> VectorTimestamp:
         """Lines (09)-(11); returns the message timestamp (sender view)."""
-        self._saturate()
         group = self._decomposition.group_index_of(self.process, receiver)
         self._vector = self._vector.join(ack_vector).incremented(group)
         m = _obs.metrics

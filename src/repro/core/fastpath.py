@@ -208,10 +208,7 @@ def stamp_batch_wire(
     it every handshake leg (offer and acknowledgement) is *encoded*
     through one shared :class:`~repro.clocks.delta.PiggybackCodec`
     whose per-channel snapshots persist **across the whole batch** —
-    exactly the state a long-lived connection would carry.  In
-    ``bounded:K`` mode both rows are saturated to their K hottest
-    components before each merge, matching
-    ``OnlineProcessClock(bound_k=K)`` timestamp-for-timestamp.
+    exactly the state a long-lived connection would carry.
 
     ``computation`` is a :class:`SyncComputation` (returns a message ->
     timestamp dict) or a plain iterable of ``(sender, receiver)`` pairs
@@ -226,7 +223,7 @@ def stamp_batch_wire(
 
     Returns ``(timestamps, WireBatchStats)``.
     """
-    from repro.clocks.delta import bound_components, make_codec
+    from repro.clocks.delta import make_codec
 
     if resync_interval is None:
         from repro.clocks.delta import DEFAULT_RESYNC_INTERVAL
@@ -234,7 +231,6 @@ def stamp_batch_wire(
         resync_interval = DEFAULT_RESYNC_INTERVAL
     size = decomposition.size
     codec = make_codec(wire_format, size, resync_interval=resync_interval)
-    bound_k = codec.bound_k
 
     message_keyed = hasattr(computation, "messages")
     if message_keyed:
@@ -254,9 +250,6 @@ def stamp_batch_wire(
     for s, r, group in _channel_plan(pairs, decomposition):
         send = rows[s]
         recv = rows[r]
-        if bound_k is not None:
-            send[:] = bound_components(send, bound_k)
-            recv[:] = bound_components(recv, bound_k)
         offer_key = (s, r)
         ack_key = (r, s)
         offer_blob = codec.encode(offer_key, send)

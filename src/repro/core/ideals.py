@@ -28,39 +28,15 @@ from repro.exceptions import PosetError
 Element = Hashable
 
 
-def _bitset_rows(poset):
-    """The kernel's closed below-rows, or ``None`` for posets (such as
-    :class:`repro.core.poset_reference.ReferencePoset`) without them."""
-    rows = getattr(poset, "below_bit_rows", None)
-    return rows() if rows is not None else None
-
-
 def is_down_set(poset: Poset, subset: Iterable[Element]) -> bool:
     """True when the subset contains everything below each member."""
-    below = _bitset_rows(poset)
-    if below is None:
-        chosen: Set[Element] = set(subset)
-        for element in chosen:
-            if element not in poset:
-                raise PosetError(f"element {element!r} not in poset")
-            if not poset.strictly_below(element) <= chosen:
-                return False
-        return True
     mask = lattice_kernel.mask_of(poset, subset)
     return lattice_kernel.is_ideal_mask(poset, mask)
 
 
 def down_closure(poset: Poset, subset: Iterable[Element]) -> FrozenSet[Element]:
     """The smallest ideal containing ``subset``."""
-    below = _bitset_rows(poset)
-    if below is None:
-        closure: Set[Element] = set()
-        for element in subset:
-            if element not in poset:
-                raise PosetError(f"element {element!r} not in poset")
-            closure.add(element)
-            closure.update(poset.strictly_below(element))
-        return frozenset(closure)
+    below = poset.below_bit_rows()
     mask = lattice_kernel.mask_of(poset, subset)
     closed = mask
     m = mask
@@ -85,9 +61,6 @@ def all_ideals(
     whole lattice is enumerated on the first ``next()``, so the limit
     fires up front rather than mid-iteration.
     """
-    if _bitset_rows(poset) is None:
-        yield from ideals_reference(poset, limit=limit)
-        return
     masks = list(lattice_kernel.iterate_ideal_masks(poset, limit=limit))
     masks.sort(key=popcount)
     elements = poset.elements
@@ -137,8 +110,6 @@ def ideal_count(poset: Poset, limit: int = 100_000) -> int:
     Counts through :func:`repro.core.lattice_kernel.count_ideals`
     without materializing a single frozenset.
     """
-    if _bitset_rows(poset) is None:
-        return sum(1 for _ in ideals_reference(poset, limit=limit))
     return lattice_kernel.count_ideals(poset, limit=limit)
 
 
@@ -161,17 +132,7 @@ def maximal_elements_of_ideal(
     closure of its frontier), which is how consistent cuts are usually
     reported to users.
     """
-    above_rows = getattr(poset, "above_bit_rows", None)
-    if above_rows is None:
-        return [
-            element
-            for element in poset.elements
-            if element in ideal
-            and not any(
-                other in ideal for other in poset.strictly_above(element)
-            )
-        ]
-    above = above_rows()
+    above = poset.above_bit_rows()
     mask = lattice_kernel.mask_of(poset, ideal, strict=False)
     elements = poset.elements
     return [

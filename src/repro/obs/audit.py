@@ -304,88 +304,6 @@ class Auditor:
                 )
 
     # ------------------------------------------------------------------
-    # Lossy-mode measurement: bounded-K false concurrency
-    # ------------------------------------------------------------------
-    def measure_false_concurrency(
-        self,
-        computation,
-        timestamps,
-        pair_budget: int = 20_000,
-    ) -> Dict[str, float]:
-        """Quantify how lossy a bounded-K assignment actually is.
-
-        Bounded-K timestamps (``OnlineProcessClock(bound_k=K)`` with
-        the ``bounded:K`` wire format) under-approximate history by
-        construction, so this is a *measurement*, not a violation
-        sweep: pairs where the ground-truth ``↦`` orders the messages
-        but the vectors read concurrent are **false concurrency**; the
-        reverse direction (vectors ordered, truth concurrent) is
-        **false order** and should stay zero — saturation only loses
-        information, it never invents it.
-
-        ``timestamps`` is a mapping keyed by message or a sequence
-        aligned with ``computation.messages``.  All ``n*(n-1)/2`` pairs
-        are checked when that fits in ``pair_budget``; otherwise a
-        reproducible uniform sample of ``pair_budget`` pairs.  Sets the
-        ``bounded_false_concurrency_rate`` gauge when instrumentation
-        is enabled and returns the counts.
-        """
-        from repro.order.message_order import message_poset
-
-        messages = list(computation.messages)
-        if isinstance(timestamps, Mapping):
-            vectors = [timestamps[message] for message in messages]
-        else:
-            vectors = list(timestamps)
-            if len(vectors) != len(messages):
-                raise ValueError(
-                    f"{len(vectors)} timestamps for "
-                    f"{len(messages)} messages"
-                )
-        with self._lock:
-            n = len(messages)
-            poset = message_poset(computation) if n >= 2 else None
-            total_pairs = n * (n - 1) // 2
-            if total_pairs <= pair_budget:
-                pairs = [
-                    (i, j) for i in range(n) for j in range(i + 1, n)
-                ]
-            else:
-                seen = set()
-                while len(seen) < pair_budget:
-                    i, j = self._rng.sample(range(n), 2)
-                    seen.add((i, j) if i < j else (j, i))
-                pairs = sorted(seen)
-            ordered = false_concurrency = false_order = 0
-            for i, j in pairs:
-                self._count_pairs_locked(1)
-                truth = poset.less(messages[i], messages[j]) or poset.less(
-                    messages[j], messages[i]
-                )
-                vec = vectors[i] < vectors[j] or vectors[j] < vectors[i]
-                if truth:
-                    ordered += 1
-                    if not vec:
-                        false_concurrency += 1
-                elif vec:
-                    false_order += 1
-            rate = false_concurrency / ordered if ordered else 0.0
-            result = {
-                "pairs_checked": float(len(pairs)),
-                "ordered_pairs": float(ordered),
-                "false_concurrency": float(false_concurrency),
-                "false_concurrency_rate": rate,
-                "false_order": float(false_order),
-                "false_order_rate": (
-                    false_order / len(pairs) if pairs else 0.0
-                ),
-            }
-            m = _instrument.metrics
-            if m is not None:
-                m.bounded_false_concurrency_rate.set(rate)
-            return result
-
-    # ------------------------------------------------------------------
     # Offline audit: OfflineRealizerClock.timestamp_poset
     # ------------------------------------------------------------------
     def audit_offline(

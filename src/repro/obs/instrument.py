@@ -116,18 +116,13 @@ class ObsMetrics:
         )
         self.piggyback_delta_bytes = registry.counter(
             "piggyback_delta_bytes_total",
-            "Piggyback bytes actually emitted by the non-full wire "
-            "codecs (delta pairs, full-resync frames, bounded entries)",
+            "Piggyback bytes actually emitted by the delta wire codec "
+            "(delta pairs and full-resync frames)",
         )
         self.delta_resync_total = registry.counter(
             "delta_resync_total",
             "Full-vector resync frames emitted by the delta piggyback "
             "codec (periodic, forced, or size-fallback)",
-        )
-        self.bounded_false_concurrency_rate = registry.gauge(
-            "bounded_false_concurrency_rate",
-            "Measured fraction of truly ordered message pairs that "
-            "bounded-K timestamps report as concurrent",
         )
         self.decomposition_size = registry.gauge(
             "decomposition_size",

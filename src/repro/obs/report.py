@@ -18,9 +18,6 @@ scalars, and metric *names* carry the semantics —
 * ``*overhead_ratio*`` is cost-like (lower is better) and gated;
 * ``*_bytes_per_message`` and piggyback byte totals are wire-cost
   metrics (lower is better) and gated;
-* ``*false_concurrency_rate*`` is an accuracy diagnostic (lower is
-  better) rendered but not gated — it depends on the chosen K, not on
-  code regressions;
 * ``*seconds*`` are informational (machine-dependent absolutes) and
   rendered but never gated.
 
@@ -84,8 +81,6 @@ def classify_metric(name: str) -> Tuple[str, bool]:
         return "higher", True
     if "overhead_ratio" in name:
         return "lower", True
-    if "false_concurrency_rate" in name:
-        return "lower", False
     if name.endswith("bytes_per_message"):
         return "lower", True
     if "piggyback" in name and "bytes" in name:

@@ -201,9 +201,7 @@ def _node_worker(
     safely with the strict request/response rendezvous protocol.
     """
     codec = make_codec(wire_format, decomposition.size)
-    clock = OnlineProcessClock(
-        name, decomposition, bound_k=codec.bound_k
-    )
+    clock = OnlineProcessClock(name, decomposition)
     tele: Optional[NodeTelemetry] = None
     if telemetry is not None:
         tele = NodeTelemetry(name, telemetry[0], telemetry[1])
@@ -405,12 +403,12 @@ class RuntimeStats:
     piggyback_bytes: int = 0
     piggyback_wire_bytes: int = 0
     frame_bytes: int = 0
-    #: The negotiated piggyback format of the run ("full" / "delta" /
-    #: "bounded:K"); ``piggyback_bytes`` measures whatever format was
-    #: actually on the wire.
+    #: The negotiated piggyback format of the run ("full" / "delta");
+    #: ``piggyback_bytes`` measures whatever format was actually on the
+    #: wire.
     wire_format: str = "full"
     #: Full-vector resync frames reported by the nodes' delta codecs
-    #: (0 for full/bounded runs).
+    #: (0 for full runs).
     delta_resync_total: int = 0
     #: ``MSG_TELEMETRY`` frames ingested by the live aggregator
     #: (0 when the telemetry plane is off).

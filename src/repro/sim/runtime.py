@@ -144,7 +144,6 @@ class SynchronousTransport:
         self._decomposition = decomposition
         self._timeout = timeout
         self._wire_format = wire_format
-        bound_k: Optional[int] = None
         if wire_format == "full":
             # The historical path: vectors travel as objects, no codec
             # on the hot path.
@@ -156,14 +155,13 @@ class SynchronousTransport:
             from repro.clocks.delta import make_codec
 
             self._codec = make_codec(wire_format, decomposition.size)
-            bound_k = self._codec.bound_k
         self._lock = threading.Lock()
         self._arrival = threading.Condition(self._lock)
         self._inboxes: Dict[Process, List[_Offer]] = {
             p: [] for p in decomposition.graph.vertices
         }
         self._clocks: Dict[Process, OnlineProcessClock] = {
-            p: OnlineProcessClock(p, decomposition, bound_k=bound_k)
+            p: OnlineProcessClock(p, decomposition)
             for p in decomposition.graph.vertices
         }
         self._log: List[DeliveredMessage] = []

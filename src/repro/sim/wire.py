@@ -72,16 +72,14 @@ class WireError(SimulationError):
 WIRE_FORMAT_FULL = "full"
 #: Stateful differential frames (see :mod:`repro.clocks.delta`).
 WIRE_FORMAT_DELTA = "delta"
-#: Stateless lossy ``(index, value)`` frames, at most K entries.
-WIRE_FORMAT_BOUNDED = "bounded"
 
 #: First varint of a delta-format blob: 0 introduces a full-vector
 #: resync frame; any value >= 1 is the first changed index plus one.
 PB_TAG_FULL = 0
 
 
-def parse_wire_format(spec: str) -> Tuple[str, Optional[int]]:
-    """Parse ``full`` / ``delta`` / ``bounded:K`` into ``(kind, K)``.
+def parse_wire_format(spec: str) -> str:
+    """Validate a ``full`` / ``delta`` spec and return it.
 
     The same string travels in the ``MSG_HELLO`` control header, where
     the coordinator rejects any node whose negotiated format differs
@@ -91,22 +89,8 @@ def parse_wire_format(spec: str) -> Tuple[str, Optional[int]]:
     if not isinstance(spec, str):
         raise WireError(f"wire format must be a string, got {spec!r}")
     if spec in (WIRE_FORMAT_FULL, WIRE_FORMAT_DELTA):
-        return spec, None
-    if spec.startswith(WIRE_FORMAT_BOUNDED + ":"):
-        raw = spec[len(WIRE_FORMAT_BOUNDED) + 1:]
-        try:
-            k = int(raw)
-        except ValueError:
-            raise WireError(
-                f"bad bounded wire format {spec!r}: K must be an integer"
-            ) from None
-        if k < 1:
-            raise WireError(f"bounded wire format needs K >= 1, got {k}")
-        return WIRE_FORMAT_BOUNDED, k
-    raise WireError(
-        f"unknown wire format {spec!r} "
-        "(expected full, delta, or bounded:K)"
-    )
+        return spec
+    raise WireError(f"unknown wire format {spec!r} (expected full or delta)")
 
 
 # ----------------------------------------------------------------------

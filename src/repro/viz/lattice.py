@@ -6,22 +6,17 @@ message.  Feasible for small computations only — the lattice can be
 exponential — so the renderer enforces a node limit.
 
 Both entry points ride the chain-indexed bitset kernel
-(:mod:`repro.core.lattice_kernel`) when the poset exposes bit rows:
-nodes are ideal masks, frontiers are one AND per member against the
-above-rows, and cover edges are addability tests
-(``below[e] & ~mask == 0``) instead of frozenset closures.
+(:mod:`repro.core.lattice_kernel`): nodes are ideal masks, frontiers
+are one AND per member against the above-rows, and cover edges are
+addability tests (``below[e] & ~mask == 0``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import Dict
 
 from repro.core import lattice_kernel
-from repro.core.ideals import (
-    all_ideals,
-    ideal_count,
-    maximal_elements_of_ideal,
-)
+from repro.core.ideals import ideal_count
 from repro.core.lattice_kernel import popcount
 from repro.core.poset import Poset, iter_bits
 
@@ -29,53 +24,17 @@ from repro.core.poset import Poset, iter_bits
 def ideal_lattice_to_dot(
     poset: Poset, name: str = "global_states", node_limit: int = 200
 ) -> str:
-    """Render the ideal lattice as a DOT digraph (bottom to top)."""
-    rows = getattr(poset, "below_bit_rows", None)
-    if rows is not None:
-        return _dot_from_masks(poset, rows(), name, node_limit)
+    """Render the ideal lattice as a DOT digraph (bottom to top).
 
-    ideals: List[FrozenSet] = []
-    for ideal in all_ideals(poset, limit=node_limit):
-        ideals.append(ideal)
-
-    labels: Dict[FrozenSet, str] = {}
-    for index, ideal in enumerate(ideals):
-        frontier = maximal_elements_of_ideal(poset, ideal)
-        if frontier:
-            label = ",".join(str(e) for e in frontier)
-        else:
-            label = "{}"
-        labels[ideal] = f"c{index} [label=\"{label}\"];"
-
-    lines = [f"digraph \"{name}\" {{", "  rankdir=BT;"]
-    index_of = {ideal: i for i, ideal in enumerate(ideals)}
-    for ideal in ideals:
-        lines.append("  " + labels[ideal])
-    for ideal in ideals:
-        for element in poset.elements:
-            if element in ideal:
-                continue
-            if poset.strictly_below(element) <= ideal:
-                successor = ideal | {element}
-                if successor in index_of:
-                    lines.append(
-                        f"  c{index_of[ideal]} -> c{index_of[successor]};"
-                    )
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _dot_from_masks(
-    poset: Poset, below: List[int], name: str, node_limit: int
-) -> str:
-    """Mask-based renderer: same output contract as the fallback path
-    (nodes smallest-first by cardinality, edges in node order)."""
+    Nodes come smallest-first by cardinality, edges in node order.
+    """
     masks = list(
         lattice_kernel.iterate_ideal_masks(poset, limit=node_limit)
     )
     masks.sort(key=popcount)
     index_of = {mask: i for i, mask in enumerate(masks)}
 
+    below = poset.below_bit_rows()
     above = poset.above_bit_rows()
     elements = poset.elements
     full = (1 << len(elements)) - 1
@@ -91,15 +50,10 @@ def _dot_from_masks(
         lines.append(f"  c{index} [label=\"{label}\"];")
     for mask in masks:
         comp = full & ~mask
-        m = comp
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
+        for e in iter_bits(comp):
             if below[e] & comp:
                 continue
-            successor = mask | low
-            target = index_of.get(successor)
+            target = index_of.get(mask | 1 << e)
             if target is not None:
                 lines.append(f"  c{index_of[mask]} -> c{target};")
     lines.append("}")

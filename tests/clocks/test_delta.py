@@ -2,8 +2,8 @@
 
 The delta codec is a *wire* optimization: whatever frames travel, the
 decoder must reconstruct exactly the vector the encoder held.  These
-tests pin the frame grammar (tag folding, resync triggers, fallback),
-the stateless bounded-entry frames, and the saturation kernel.
+tests pin the frame grammar (tag folding, resync triggers, fallback)
+and the obs counters the delta codec feeds.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ import pytest
 
 from repro.clocks.delta import (
     DEFAULT_RESYNC_INTERVAL,
-    BoundedEntryCodec,
     DeltaChannelCodec,
     FullVectorCodec,
-    bound_components,
     channel_key,
     make_codec,
 )
-from repro.exceptions import ClockError
+from repro.obs import instrument
 from repro.sim.wire import (
     WireError,
     encode_vector,
@@ -31,17 +29,13 @@ from repro.sim.wire import (
 
 class TestParseWireFormat:
     def test_plain_formats(self):
-        assert parse_wire_format("full") == ("full", None)
-        assert parse_wire_format("delta") == ("delta", None)
-
-    def test_bounded_with_k(self):
-        assert parse_wire_format("bounded:1") == ("bounded", 1)
-        assert parse_wire_format("bounded:64") == ("bounded", 64)
+        assert parse_wire_format("full") == "full"
+        assert parse_wire_format("delta") == "delta"
 
     @pytest.mark.parametrize(
         "spec",
         ["", "Full", "bounded", "bounded:", "bounded:zero", "bounded:0",
-         "bounded:-3", "delta:4"],
+         "bounded:-3", "bounded:8", "delta:4"],
     )
     def test_rejects_malformed(self, spec):
         with pytest.raises(WireError):
@@ -52,30 +46,10 @@ class TestParseWireFormat:
             parse_wire_format(7)
 
 
-class TestBoundComponents:
-    def test_keeps_k_largest(self):
-        assert bound_components([5, 1, 9, 3], 2) == [5, 0, 9, 0]
-
-    def test_ties_keep_lowest_index(self):
-        assert bound_components([4, 4, 4], 2) == [4, 4, 0]
-
-    def test_idempotent_when_sparse(self):
-        sparse = [0, 7, 0, 2]
-        assert bound_components(sparse, 2) == sparse
-        assert bound_components(sparse, 3) == sparse
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ClockError):
-            bound_components([1, 2], 0)
-
-
 class TestMakeCodec:
     def test_kinds(self):
         assert make_codec("full", 4).kind == "full"
         assert make_codec("delta", 4).kind == "delta"
-        bounded = make_codec("bounded:3", 4)
-        assert bounded.kind == "bounded"
-        assert bounded.bound_k == 3
 
     def test_unknown_format_raises(self):
         with pytest.raises(WireError):
@@ -215,29 +189,29 @@ class TestDeltaChannelCodec:
         assert DEFAULT_RESYNC_INTERVAL > 0
 
 
-class TestBoundedEntryCodec:
-    def test_stateless_sparse_frames(self):
-        codec = BoundedEntryCodec(4, k=2)
-        key = channel_key("P1", "P2")
-        blob = codec.encode(key, [7, 0, 3, 0])
-        assert list(codec.decode(key, blob)) == [7, 0, 3, 0]
-        # Same vector again costs the same bytes: no channel state.
-        assert codec.encode(key, [7, 0, 3, 0]) == blob
+class TestCodecRegistryCounters:
+    """The delta codec's own counts equal the registry's."""
 
-    def test_encode_rebounds_dense_vectors(self):
-        codec = BoundedEntryCodec(4, k=2)
-        key = channel_key("P1", "P2")
-        blob = codec.encode(key, [1, 2, 3, 4])
-        assert list(codec.decode(key, blob)) == [0, 0, 3, 4]
+    def test_delta_codec_feeds_both_counters(self):
+        # Two deltas, a periodic resync, a too-wide change that falls
+        # back to a resync, and one more delta.
+        walk = ([1, 0, 0], [2, 0, 0], [3, 0, 0], [3, 5, 2], [4, 5, 2])
+        with instrument.enabled_session() as obs:
+            codec = DeltaChannelCodec(3, resync_interval=2)
+            key = channel_key("P1", "P2")
+            for vector in walk:
+                codec.encode(key, vector)
+        assert codec.resyncs == 2
+        assert obs.piggyback_delta_bytes.value == codec.payload_bytes
+        assert obs.delta_resync_total.value == codec.resyncs
 
-    def test_frame_cost_scales_with_k_not_size(self):
-        wide = BoundedEntryCodec(64, k=2)
-        key = channel_key("P1", "P2")
-        vector = [0] * 64
-        vector[10], vector[50] = 9, 4
-        blob = wide.encode(key, vector)
-        assert len(blob) <= 2 * 4  # two (index, value) varint pairs
-        assert list(wide.decode(key, blob)) == vector
+    def test_full_codec_feeds_neither_counter(self):
+        with instrument.enabled_session() as obs:
+            codec = FullVectorCodec(3)
+            codec.encode(channel_key("P1", "P2"), [1, 2, 3])
+        assert codec.payload_bytes == 3
+        assert obs.piggyback_delta_bytes.value == 0
+        assert obs.delta_resync_total.value == 0
 
 
 #: A valid first pair for each decode path: one-byte varints, and a

@@ -42,15 +42,6 @@ class TestWireClassification:
         )
         assert report.classify_metric("payload_bytes") == ("", False)
 
-    def test_false_concurrency_rate_is_rendered_not_gated(self):
-        assert report.classify_metric(
-            "bounded_false_concurrency_rate"
-        ) == ("lower", False)
-        assert report.classify_metric("false_concurrency_rate") == (
-            "lower",
-            False,
-        )
-
     def test_throughput_rule_still_wins_first(self):
         # A name carrying both suffixes is throughput, not bytes.
         assert report.classify_metric("piggyback_bytes_per_sec") == (
@@ -81,7 +72,6 @@ class TestWireRendering:
                     "stamp_encode_per_sec": 250_000.0,
                     "compare_per_sec": 700_000.0,
                 },
-                "bounded_audit": {"false_concurrency_rate": 0.0321},
             },
         )
         merged = report.load_bench_dir(tmp_path)
@@ -90,7 +80,6 @@ class TestWireRendering:
             assert "3.500 B/msg" in rendered
             assert "250,000/s" in rendered
             assert "700,000/s" in rendered
-            assert "0.0321" in rendered
 
 
 class TestHardGate:

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.delta import DeltaChannelCodec, channel_key
-from repro.clocks.online import OnlineProcessClock
 from repro.core.fastpath import stamp_batch, stamp_batch_wire
 from repro.graphs.decomposition import decompose
 from tests.strategies import clustered_computations, computations
@@ -63,44 +62,6 @@ class TestDeltaPathEqualsFullPath:
             computation,
             decomposition,
             wire_format="delta",
-            verify=True,
-        )
-        assert actual == expected
-
-    @RELAXED
-    @given(
-        clustered_computations(),
-        st.integers(min_value=1, max_value=6),
-    )
-    def test_bounded_path_matches_bounded_clock(self, computation, k):
-        """``bounded:K`` frames commit the bounded *clock's* timestamps.
-
-        The lossy wire format must agree with running
-        ``OnlineProcessClock(bound_k=K)`` handshake by handshake —
-        lossiness comes from the saturation rule alone, never from the
-        frame encoding.
-        """
-        decomposition = decompose(computation.topology)
-        clocks = {
-            process: OnlineProcessClock(
-                process, decomposition, bound_k=k
-            )
-            for process in computation.processes
-        }
-        expected = {}
-        for message in computation.messages:
-            offer = clocks[message.sender].prepare_send()
-            ack, stamp = clocks[message.receiver].on_receive(
-                message.sender, offer
-            )
-            clocks[message.sender].on_acknowledgement(
-                message.receiver, ack
-            )
-            expected[message] = stamp
-        actual, _ = stamp_batch_wire(
-            computation,
-            decomposition,
-            wire_format=f"bounded:{k}",
             verify=True,
         )
         assert actual == expected

@@ -19,6 +19,14 @@ from repro.sim.trace_io import (
 from repro.sim.workload import random_computation
 
 
+#: The one line ``stamp`` and ``run-distributed`` exit with for a
+#: ``--wire-format`` spec other than ``full`` or ``delta``.
+BOUNDED_SPEC_ERROR = (
+    "--wire-format: unknown wire format 'bounded:8' "
+    "(expected full or delta)"
+)
+
+
 @pytest.fixture
 def trace_file(tmp_path):
     computation = random_computation(
@@ -105,6 +113,22 @@ class TestStamp:
         message = str(excinfo.value.code)
         assert "--clock lamport" in message
         assert "\n" not in message
+        assert output.read_bytes() == b"previous contents\n"
+
+    def test_bounded_wire_format_is_refused_and_file_kept(
+        self, trace_file, tmp_path
+    ):
+        path, _ = trace_file
+        output = tmp_path / "stamps.json"
+        output.write_bytes(b"previous contents\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "stamp", str(path), "--wire-format", "bounded:8",
+                    "--output", str(output),
+                ]
+            )
+        assert excinfo.value.code == BOUNDED_SPEC_ERROR
         assert output.read_bytes() == b"previous contents\n"
 
 
@@ -812,3 +836,10 @@ class TestRunDistributed:
             main(["run-distributed", "--load", "--clients", "0"])
         with pytest.raises(SystemExit):
             main(["run-distributed", "--timeout", "0"])
+
+    def test_rejects_bounded_wire_format(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["run-distributed", "--load", "--wire-format", "bounded:8"]
+            )
+        assert excinfo.value.code == BOUNDED_SPEC_ERROR
