@@ -111,7 +111,7 @@ def record_runtime_perf(key: str, value) -> None:
     """Add one entry to the ``BENCH_runtime.json`` perf snapshot.
 
     Tracks the multiprocess socket runtime: sustained msg/s through the
-    rendezvous pipeline, block-latency percentiles (P² sketches), and
+    rendezvous pipeline, block-latency percentiles (quantile sketch), and
     piggyback bytes/s measured on the wire.
     """
     _RUNTIME_SNAPSHOT[key] = value

@@ -278,8 +278,9 @@ def test_live_telemetry_overhead(report_header):
 
 
 def test_quantile_sketch_overhead(report_header):
-    """P² sketch cost per observation vs ``Histogram.observe`` — the
-    sketch buys p50/p95/p99 for a small constant factor."""
+    """Log-bucket sketch cost per observation vs ``Histogram.observe``
+    — the sketch buys p50/p95/p99 within 1% for a small constant
+    factor."""
     from repro.obs.metrics import DURATION_BUCKETS, Histogram, QuantileSketch
 
     rng = random.Random(29)
@@ -312,6 +313,6 @@ def test_quantile_sketch_overhead(report_header):
     )
     emit(
         f"histogram: {histogram_s / len(samples) * 1e9:,.0f} ns/observe; "
-        f"P2 sketch: {sketch_s / len(samples) * 1e9:,.0f} ns/observe "
+        f"sketch: {sketch_s / len(samples) * 1e9:,.0f} ns/observe "
         f"({ratio:.2f}x)"
     )

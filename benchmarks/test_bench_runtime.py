@@ -8,8 +8,8 @@ travels as LEB128 bytes on the wire.  Reported per workload:
 * sustained **msg/s** over the traffic window (first offer to last
   commit);
 * **rendezvous-block latency percentiles** (p50/p95/p99) from the
-  coordinator's always-on P² quantile sketches — one observation per
-  side of every committed rendezvous;
+  coordinator's always-on log-bucket quantile sketch — one observation
+  per side of every committed rendezvous;
 * **piggyback bytes/s** — the algorithmic vector bytes (offer leg +
   ack leg), byte-compatible with the threaded runtime's
   ``piggyback_size_bytes`` accounting.

@@ -12,7 +12,11 @@ plane on, and the JSONL stream written to ``--live-out`` (default
 3. the coordinator's merged counters exactly equal the per-node
    totals: merged ``node_commits_total`` == 2 x committed messages
    (every rendezvous commits on both endpoints);
-4. the ``--live-out`` stream holds telemetry frames, the health
+4. the merge is exact for distributions too: the merged
+   ``node_block_quantile_seconds`` count, the merged
+   ``node_block_seconds`` count and 2 x committed messages are equal
+   (every blocking sample reaches both the histogram and the sketch);
+5. the ``--live-out`` stream holds telemetry frames, the health
    event(s), and one trailing summary line, all valid JSON.
 
 Exit status 0 on success; prints the first violated invariant
@@ -30,7 +34,12 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.obs.live import NODE_COMMITS, TelemetryConfig  # noqa: E402
+from repro.obs.live import (  # noqa: E402
+    NODE_BLOCK_QUANTILES,
+    NODE_BLOCK_SECONDS,
+    NODE_COMMITS,
+    TelemetryConfig,
+)
 from repro.sim.distributed import run_load  # noqa: E402
 
 SLOW_CLIENT = "C1"
@@ -104,6 +113,14 @@ def main() -> int:
     if commits != 2 * stats.messages:
         fail(
             f"merged {NODE_COMMITS} = {commits}, expected "
+            f"{2 * stats.messages} (2 x {stats.messages} messages)"
+        )
+    sketch_count = merged.get(NODE_BLOCK_QUANTILES, {}).get("count")
+    hist_count = merged.get(NODE_BLOCK_SECONDS, {}).get("count")
+    if not sketch_count == hist_count == 2 * stats.messages:
+        fail(
+            f"merged {NODE_BLOCK_QUANTILES} count = {sketch_count}, "
+            f"{NODE_BLOCK_SECONDS} count = {hist_count}, expected both "
             f"{2 * stats.messages} (2 x {stats.messages} messages)"
         )
 

@@ -203,13 +203,13 @@ class ObsMetrics:
         self.rendezvous_block_quantiles = registry.summary(
             "rendezvous_block_quantile_seconds",
             help="Streaming p50/p95/p99 of per-side rendezvous "
-            "blocking time (P² sketch over the same observations "
-            "as rendezvous_block_seconds)",
+            "blocking time (log-bucket sketch over the same "
+            "observations as rendezvous_block_seconds)",
         )
         self.piggyback_quantiles = registry.summary(
             "piggyback_quantile_bytes",
             help="Streaming p50/p95/p99 of per-message piggyback "
-            "payload bytes (transport-side P² sketch)",
+            "payload bytes (transport-side log-bucket sketch)",
         )
         self.stamp_latency_quantiles = registry.summary(
             "stamp_latency_seconds",

@@ -85,13 +85,6 @@ DEADLOCK_SUSPECT = "deadlock_suspect"
 #: Cap on flight-event deltas queued between two telemetry pushes.
 NODE_EVENT_QUEUE = 512
 
-#: Blocking-time samples the P2 sketch sees exactly before switching
-#: to 1-in-``SKETCH_DECIMATE`` subsampling (the sketch update is the
-#: one per-sample cost too heavy for the rendezvous commit path; the
-#: histogram still sees every sample).
-SKETCH_EXACT_HEAD = 64
-SKETCH_DECIMATE = 8
-
 
 def _count(attr: str, amount: int = 1) -> None:
     """Bump a global obs counter when instrumentation is enabled."""
@@ -202,15 +195,14 @@ class NodeTelemetry:
         )
         # Hot-path state: the node worker calls ``on_commit`` on every
         # rendezvous, so the per-commit cost must be a few plain-object
-        # operations — registry locks, bucket walks, and P2 marker
-        # maintenance are all deferred to :meth:`frame` (``_fold``).
+        # operations — registry locks, bucket walks and sketch updates
+        # are all deferred to :meth:`frame` (``_fold``).
         self._pending: Deque[Tuple[Any, ...]] = deque()
         self._pending_blocks: List[float] = []
         self._n_commits = 0
         self._n_sends = 0
         self._n_receives = 0
         self._n_internal = 0
-        self._sketch_skipped = 0
         self._events_dropped = 0
         self._seq = 0
         self._pushed_commits = 0
@@ -270,12 +262,8 @@ class NodeTelemetry:
     def _fold(self) -> None:
         """Fold the hot-path accumulators into the registry.
 
-        Counters are folded exactly.  Every blocking sample goes into
-        the histogram; the P2 sketch sees the first
-        ``SKETCH_EXACT_HEAD`` samples exactly and then a deterministic
-        1-in-``SKETCH_DECIMATE`` subsample — quantiles of a uniform
-        subsample converge to the stream's quantiles, and the sketch
-        is the one per-sample cost too heavy for the commit path.
+        Counters are folded exactly, and every blocking sample goes
+        into both the histogram and the quantile sketch.
         """
         delta = self._n_commits - int(self._commits.value)
         if delta:
@@ -291,14 +279,8 @@ class NodeTelemetry:
             self._internal.inc(delta)
         if not self._pending_blocks:
             return
-        seen = int(self._block_hist.count)
         self._block_hist.observe_batch(self._pending_blocks)
-        for offset, seconds in enumerate(self._pending_blocks):
-            if seen + offset >= SKETCH_EXACT_HEAD:
-                self._sketch_skipped += 1
-                if self._sketch_skipped < SKETCH_DECIMATE:
-                    continue
-                self._sketch_skipped = 0
+        for seconds in self._pending_blocks:
             self._block_sketch.observe(seconds)
         self._pending_blocks.clear()
 

@@ -20,14 +20,14 @@ exposition format without translation:
   decomposition size, theorem bounds);
 * :class:`Histogram` — fixed-bucket distributions (rendezvous blocking
   time, per-message piggyback bytes);
-* :class:`QuantileSketch` — a bounded-memory streaming estimator of
-  p50/p95/p99 (the P² algorithm: five markers per tracked quantile, so
-  state is O(1) no matter how many observations stream through), which
-  maps onto the Prometheus *summary* type.
+* :class:`QuantileSketch` — log-bucketed streaming quantiles (p50/
+  p95/p99 within 1% relative error, merged exactly by adding bucket
+  counts), which map onto the Prometheus *summary* type.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -310,13 +310,17 @@ class Histogram:
             return self._sum / self._count if self._count else 0.0
 
     def snapshot(self) -> Dict[str, object]:
+        pairs: List[List[object]] = [
+            [bound, count] for bound, count in self.bucket_counts()
+        ]
+        # JSON (RFC 8259) has no infinity; spell the last edge the way
+        # the Prometheus exposition does.
+        pairs[-1][0] = "+Inf"
         return {
             "type": self.kind,
             "count": self.count,
             "sum": self.sum,
-            "buckets": [
-                [bound, count] for bound, count in self.bucket_counts()
-            ],
+            "buckets": pairs,
         }
 
     def merge(self, other: "Histogram") -> None:
@@ -381,173 +385,67 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count})"
 
 
-#: Default quantiles tracked by :class:`QuantileSketch` — the latency
+#: Quantiles a :class:`QuantileSketch` reports in :meth:`quantiles`,
+#: its snapshot and the Prometheus summary lines — the latency
 #: percentiles every report surfaces.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
-#: Cap on re-observations per donor when merging P² sketches: a donor
-#: summarizing millions of values is folded in with at most this many
-#: weighted marker re-observations, keeping merges O(1) in donor size.
-MERGE_REOBSERVE_CAP = 1024
+#: Relative accuracy of every :class:`QuantileSketch` estimate.
+ALPHA = 0.01
 
+#: Ratio between consecutive bucket edges of a :class:`QuantileSketch`.
+GAMMA = (1 + ALPHA) / (1 - ALPHA)
 
-class _P2Marker:
-    """P² (Jain & Chlamtac 1985) state for *one* target quantile.
-
-    Five markers track the running minimum, two intermediate points,
-    the quantile estimate itself, and the running maximum.  Marker
-    heights are nudged toward their desired positions with a piecewise
-    parabolic (P²) interpolation, falling back to linear when the
-    parabola would leave the bracketing heights.  Total state: five
-    heights, five positions, five desired positions — O(1) regardless
-    of the observation count.
-    """
-
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_initial")
-
-    def __init__(self, p: float):
-        self.p = p
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [
-            1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0
-        ]
-        self._initial: List[float] = []
-
-    def observe(self, value: float) -> None:
-        if len(self._heights) < 5:
-            self._initial.append(value)
-            self._initial.sort()
-            if len(self._initial) == 5:
-                self._heights = list(self._initial)
-            return
-        q = self._heights
-        n = self._positions
-        if value < q[0]:
-            q[0] = value
-            cell = 0
-        elif value >= q[4]:
-            q[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= q[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            n[i] += 1.0
-        increments = (0.0, self.p / 2.0, self.p, (1.0 + self.p) / 2.0, 1.0)
-        for i in range(5):
-            self._desired[i] += increments[i]
-        for i in (1, 2, 3):
-            delta = self._desired[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                sign = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if not q[i - 1] < candidate < q[i + 1]:
-                    candidate = self._linear(i, sign)
-                q[i] = candidate
-                n[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        q = self._heights
-        n = self._positions
-        return q[i] + sign / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + sign)
-            * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - sign)
-            * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, sign: float) -> float:
-        q = self._heights
-        n = self._positions
-        j = i + int(sign)
-        return q[i] + sign * (q[j] - q[i]) / (n[j] - n[i])
-
-    def estimate(self) -> float:
-        """The current quantile estimate (0.0 with no observations)."""
-        if self._heights:
-            return self._heights[2]
-        stored = self._initial
-        if not stored:
-            return 0.0
-        # Fewer than five observations: exact interpolation over the
-        # stored (sorted) values.
-        rank = self.p * (len(stored) - 1)
-        low = int(rank)
-        high = min(low + 1, len(stored) - 1)
-        fraction = rank - low
-        return stored[low] + (stored[high] - stored[low]) * fraction
+_LOG_GAMMA = math.log(GAMMA)
 
 
 class QuantileSketch:
-    """A bounded-memory streaming quantile estimator (P²-style).
+    """A mergeable streaming quantile estimator with relative error.
 
-    Tracks a fixed tuple of target quantiles — p50/p95/p99 by default —
-    with five markers each, so memory stays O(1) while ``observe``
-    streams any number of values through.  This is the summary-type
-    companion to :class:`Histogram`: the histogram gives exact bucket
-    counts at fixed resolution, the sketch gives direct percentile
-    estimates with no bucket-boundary quantization.
+    Log-bucketed in the style of DDSketch (Masson, Rim and Lee, VLDB
+    2019): a value ``v > 0`` counts into bucket ``k = ceil(log(v) /
+    log(GAMMA))``, which holds the values in ``(GAMMA**(k-1),
+    GAMMA**k]``, and zeros have their own count.  Every value in bucket
+    ``k`` lies within relative error :data:`ALPHA` of the bucket's
+    representative ``2 * GAMMA**k / (GAMMA + 1)``, so any quantile
+    estimate is within ``ALPHA`` of the exact order statistic.
 
-    Estimates are typically within a few percent of the exact
-    percentile on unimodal distributions (pinned at 5% on 10^5
-    observations by ``tests/obs/test_quantiles.py``).
+    Buckets are sparse, so state grows with ``log(max / min)`` of the
+    stream, not with its length: values spanning seven decades need at
+    most 807 buckets.  Two sketches merge by adding bucket counts,
+    which is exact — a merged sketch reports what one sketch would
+    after observing every sample itself.  This is the summary-type
+    companion to :class:`Histogram`, whose fixed buckets cannot resolve
+    a p99 to within 1%.
     """
 
     kind = "summary"
 
     __slots__ = (
-        "name", "help", "_markers", "_sum", "_count", "_min", "_max",
-        "_lock",
+        "name", "help", "_buckets", "_zeros", "_sum", "_count", "_min",
+        "_max", "_lock",
     )
 
-    def __init__(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        help: str = "",
-    ):
-        targets = tuple(float(q) for q in quantiles)
-        if not targets:
-            raise MetricError(
-                f"summary {name!r} needs at least one target quantile"
-            )
-        if any(not 0.0 < q < 1.0 for q in targets):
-            raise MetricError(
-                f"summary {name!r} quantiles must lie in (0, 1): "
-                f"{targets}"
-            )
-        if any(q2 <= q1 for q1, q2 in zip(targets, targets[1:])):
-            raise MetricError(
-                f"summary {name!r} quantiles must be strictly "
-                f"increasing: {targets}"
-            )
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._markers = tuple(_P2Marker(q) for q in targets)
+        self._buckets: Dict[int, int] = {}
+        self._zeros = 0
         self._sum = 0.0
         self._count = 0
-        self._min = float("inf")
-        self._max = float("-inf")
+        self._min = math.inf
+        self._max = -math.inf
         self._lock = threading.Lock()
 
-    @property
-    def quantile_targets(self) -> Tuple[float, ...]:
-        return tuple(marker.p for marker in self._markers)
-
-    def _feed_markers(self, value: float) -> None:
-        """Advance every marker by one observation (caller holds lock)."""
-        for marker in self._markers:
-            marker.observe(value)
-
     def observe(self, value: Number) -> None:
-        """Record one observation."""
+        """Record one observation (finite and non-negative)."""
         value = float(value)
+        if not 0.0 <= value < math.inf:
+            raise MetricError(
+                f"summary {self.name!r} observations must be finite "
+                f"and non-negative, got {value}"
+            )
+        key = math.ceil(math.log(value) / _LOG_GAMMA) if value else 0
         with self._lock:
             self._count += 1
             self._sum += value
@@ -555,42 +453,50 @@ class QuantileSketch:
                 self._min = value
             if value > self._max:
                 self._max = value
-            self._feed_markers(value)
+            if value:
+                self._buckets[key] = self._buckets.get(key, 0) + 1
+            else:
+                self._zeros += 1
 
-    def observe_many(self, value: Number, count: int) -> None:
-        """Record ``count`` identical observations (one locked update)."""
-        if count < 0:
-            raise MetricError(
-                f"summary {self.name!r} observation count must be "
-                f"non-negative, got {count}"
-            )
-        value = float(value)
-        with self._lock:
-            for _ in range(count):
-                self._count += 1
-                self._sum += value
-                if value < self._min:
-                    self._min = value
-                if value > self._max:
-                    self._max = value
-                for marker in self._markers:
-                    marker.observe(value)
+    def _estimates(self, targets: Sequence[float]) -> Dict[float, float]:
+        """``{q: estimate}`` for ascending ``targets`` (lock held).
+
+        Walks the buckets in key order to rank ``floor(q * (count -
+        1))`` and answers with that bucket's representative, clamped to
+        the observed ``[min, max]``.
+        """
+        if not self._count:
+            return {q: 0.0 for q in targets}
+        keys = sorted(self._buckets)
+        estimates: Dict[float, float] = {}
+        seen = self._zeros
+        index = 0
+        for q in targets:
+            rank = int(q * (self._count - 1))
+            if rank < self._zeros:
+                estimates[q] = 0.0
+                continue
+            while seen <= rank:
+                seen += self._buckets[keys[index]]
+                index += 1
+            estimate = 2.0 * GAMMA ** keys[index - 1] / (GAMMA + 1.0)
+            estimates[q] = min(max(estimate, self._min), self._max)
+        return estimates
 
     def quantile(self, q: float) -> float:
-        """The estimate for target ``q`` (must be a tracked target)."""
+        """The estimate of quantile ``q`` in ``[0, 1]`` (0.0 when empty)."""
+        if not 0.0 <= q <= 1.0:
+            raise MetricError(
+                f"summary {self.name!r} quantile must lie in [0, 1], "
+                f"got {q}"
+            )
         with self._lock:
-            for marker in self._markers:
-                if marker.p == q:
-                    return marker.estimate()
-        raise MetricError(
-            f"summary {self.name!r} does not track quantile {q}; "
-            f"targets are {self.quantile_targets}"
-        )
+            return self._estimates((q,))[q]
 
     def quantiles(self) -> Dict[float, float]:
-        """All tracked ``{target: estimate}`` pairs."""
+        """``{q: estimate}`` for each of :data:`DEFAULT_QUANTILES`."""
         with self._lock:
-            return {m.p: m.estimate() for m in self._markers}
+            return self._estimates(DEFAULT_QUANTILES)
 
     @property
     def count(self) -> int:
@@ -616,204 +522,68 @@ class QuantileSketch:
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
-            quantiles = {
-                repr(m.p): m.estimate() for m in self._markers
-            }
-            snap: Dict[str, object] = {
+            estimates = self._estimates(DEFAULT_QUANTILES)
+            return {
                 "type": self.kind,
                 "count": self._count,
                 "sum": self._sum,
-                "quantiles": quantiles,
+                "quantiles": {repr(q): v for q, v in estimates.items()},
                 "min": self._min if self._count else 0.0,
                 "max": self._max if self._count else 0.0,
+                "zeros": self._zeros,
+                "buckets": [
+                    [key, self._buckets[key]]
+                    for key in sorted(self._buckets)
+                ],
             }
-            # Merge state: the raw marker heights/positions (or the
-            # exact stored values while under five observations), so a
-            # remote snapshot can be folded into another sketch.
-            if self._markers and self._markers[0]._heights:
-                snap["markers"] = [
-                    {
-                        "p": m.p,
-                        "heights": list(m._heights),
-                        "positions": list(m._positions),
-                    }
-                    for m in self._markers
-                ]
-            else:
-                initial = self._markers[0]._initial if self._markers else []
-                snap["initial"] = list(initial)
-            return snap
-
-    # -- merging -------------------------------------------------------
-    #
-    # Accuracy contract: ``count``/``sum``/``min``/``max`` merge
-    # *exactly*.  Quantile estimates after a merge are approximate: the
-    # donor's distribution is reconstructed from its marker summary (at
-    # most five heights per tracked quantile, each with a cumulative
-    # rank) and re-observed into this sketch as a weighted sample of at
-    # most :data:`MERGE_REOBSERVE_CAP` points.  A donor with fewer than
-    # five observations still holds its raw values and merges exactly.
-    # The merged estimate therefore carries the donor's own P² error
-    # plus a resampling error; ``tests/properties/test_property_merge``
-    # pins the combined error against serial observation.
 
     def merge(self, other: "QuantileSketch") -> None:
-        """Fold another sketch in (see the accuracy contract above)."""
+        """Fold another sketch in (exact)."""
         if not isinstance(other, QuantileSketch):
             raise MetricError(
                 f"cannot merge {type(other).__name__} into summary "
                 f"{self.name!r}"
             )
-        if other.quantile_targets != self.quantile_targets:
-            raise MetricError(
-                f"summary {self.name!r} targets differ: "
-                f"{self.quantile_targets} vs {other.quantile_targets}"
-            )
-        with other._lock:
-            count = other._count
-            total = other._sum
-            minimum = other._min
-            maximum = other._max
-            if other._markers and other._markers[0]._heights:
-                markers = [
-                    (list(m._heights), list(m._positions))
-                    for m in other._markers
-                ]
-                initial = None
-            else:
-                markers = None
-                initial = (
-                    list(other._markers[0]._initial)
-                    if other._markers
-                    else []
-                )
-        self._merge_state(count, total, minimum, maximum, markers, initial)
+        self.merge_snapshot(other.snapshot())
 
     def merge_snapshot(self, data: Dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` dict in (same accuracy contract).
+        """Fold a :meth:`snapshot` dict in (exact).
 
-        Snapshots produced by older code without the ``markers`` /
-        ``initial`` merge state fall back to re-observing the reported
-        quantile *estimates* — coarser, but still bounded by the same
-        contract.
+        Bucket counts, zeros, ``count`` and ``sum`` add; ``min`` and
+        ``max`` take the extremes.  A snapshot whose counts are
+        negative or do not add up to ``count`` raises
+        :class:`MetricError` and leaves this sketch unchanged.
         """
         count = int(data.get("count", 0))  # type: ignore[arg-type]
-        total = float(data.get("sum", 0.0))  # type: ignore[arg-type]
-        raw_markers = data.get("markers")
-        initial = data.get("initial")
-        markers: Optional[List[Tuple[List[float], List[float]]]] = None
-        if raw_markers is not None:
-            targets = tuple(
-                float(m["p"])  # type: ignore[index]
-                for m in raw_markers
+        zeros = int(data.get("zeros", 0))  # type: ignore[arg-type]
+        buckets = [
+            (int(key), int(n))
+            for key, n in data.get("buckets") or []  # type: ignore[union-attr]
+        ]
+        if (
+            zeros < 0
+            or any(n < 0 for _, n in buckets)
+            or zeros + sum(n for _, n in buckets) != count
+        ):
+            raise MetricError(
+                f"summary {self.name!r} snapshot counts are negative or "
+                f"do not add up to its count ({count})"
             )
-            if targets != self.quantile_targets:
-                raise MetricError(
-                    f"summary {self.name!r} targets differ: "
-                    f"{self.quantile_targets} vs {targets}"
-                )
-            markers = [
-                (
-                    [float(h) for h in m["heights"]],  # type: ignore[index]
-                    [float(n) for n in m["positions"]],  # type: ignore[index]
-                )
-                for m in raw_markers  # type: ignore[union-attr]
-            ]
-        elif initial is None:
-            # Legacy snapshot: treat each reported estimate as one
-            # marker height at its target rank.
-            quantiles = data.get("quantiles") or {}
-            denominator = max(count - 1, 1)
-            markers = [
-                (
-                    [float(estimate)],
-                    [float(q) * denominator + 1.0],
-                )
-                for q, estimate in sorted(
-                    (float(k), v)
-                    for k, v in quantiles.items()  # type: ignore[union-attr]
-                )
-            ]
+        if not count:
+            return
+        total = float(data.get("sum", 0.0))  # type: ignore[arg-type]
         minimum = float(data.get("min", 0.0))  # type: ignore[arg-type]
         maximum = float(data.get("max", 0.0))  # type: ignore[arg-type]
-        self._merge_state(
-            count,
-            total,
-            minimum,
-            maximum,
-            markers,
-            (
-                list(initial)  # type: ignore[arg-type]
-                if initial is not None
-                else None
-            ),
-        )
-
-    def _merge_state(
-        self,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        markers: Optional[List[Tuple[List[float], List[float]]]],
-        initial: Optional[List[float]],
-    ) -> None:
-        if count <= 0:
-            return
-        sample = self._resample(count, markers, initial)
         with self._lock:
             self._count += count
             self._sum += total
+            self._zeros += zeros
+            for key, n in buckets:
+                self._buckets[key] = self._buckets.get(key, 0) + n
             if minimum < self._min:
                 self._min = minimum
             if maximum > self._max:
                 self._max = maximum
-            # Feed the weighted sample round-robin (one repetition of
-            # each point per sweep) so the marker state never sees a
-            # long monotone run of a single height.
-            remaining = [reps for _, reps in sample]
-            while any(remaining):
-                for index, (height, _) in enumerate(sample):
-                    if remaining[index] > 0:
-                        remaining[index] -= 1
-                        self._feed_markers(height)
-
-    @staticmethod
-    def _resample(
-        count: int,
-        markers: Optional[List[Tuple[List[float], List[float]]]],
-        initial: Optional[List[float]],
-    ) -> List[Tuple[float, int]]:
-        """Build a weighted ``(height, repetitions)`` donor sample."""
-        if initial is not None:
-            return [(float(v), 1) for v in initial]
-        if not markers:
-            return []
-        denominator = max(count - 1, 1)
-        points: List[Tuple[float, float]] = []
-        for heights, positions in markers:
-            for height, position in zip(heights, positions):
-                fraction = (position - 1.0) / denominator
-                points.append((min(max(fraction, 0.0), 1.0), height))
-        points.sort()
-        effective = min(count, MERGE_REOBSERVE_CAP)
-        last = len(points) - 1
-        sample: List[Tuple[float, int]] = []
-        for index, (_, height) in enumerate(points):
-            if index == 0:
-                left = 0.0
-            else:
-                left = (points[index - 1][0] + points[index][0]) / 2.0
-            if index == last:
-                right = 1.0
-            else:
-                right = (points[index][0] + points[index + 1][0]) / 2.0
-            reps = int(round((right - left) * effective))
-            if reps == 0 and index in (0, last):
-                reps = 1  # never drop the extremes
-            if reps > 0:
-                sample.append((height, reps))
-        return sample
 
     def __repr__(self) -> str:
         return f"QuantileSketch({self.name}, n={self.count})"
@@ -867,16 +637,9 @@ class MetricsRegistry:
             name, Histogram, lambda: Histogram(name, buckets, help)
         )
 
-    def summary(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        help: str = "",
-    ) -> QuantileSketch:
+    def summary(self, name: str, help: str = "") -> QuantileSketch:
         return self._get_or_create(
-            name,
-            QuantileSketch,
-            lambda: QuantileSketch(name, quantiles, help),
+            name, QuantileSketch, lambda: QuantileSketch(name, help)
         )
 
     # ------------------------------------------------------------------
@@ -907,10 +670,9 @@ class MetricsRegistry:
         """Fold every metric of ``other`` into this registry.
 
         Metrics are created on first sight (same name resolves to the
-        same kind, bounds and targets); a name registered here with a
-        different kind raises :class:`MetricError`.  Counters and
-        histograms fold exactly, gauges take the maximum, and quantile
-        sketches follow the P² merge accuracy contract.
+        same kind and bounds); a name registered here with a different
+        kind raises :class:`MetricError`.  Counters, histograms and
+        quantile sketches fold exactly, and gauges take the maximum.
         """
         for metric in other:
             if isinstance(metric, Counter):
@@ -922,9 +684,7 @@ class MetricsRegistry:
                     metric.name, metric.bounds, metric.help
                 ).merge(metric)
             elif isinstance(metric, QuantileSketch):
-                self.summary(
-                    metric.name, metric.quantile_targets, metric.help
-                ).merge(metric)
+                self.summary(metric.name, metric.help).merge(metric)
 
     def merge_snapshot(
         self, snapshot: Dict[str, Dict[str, object]]
@@ -951,21 +711,7 @@ class MetricsRegistry:
                     name, bounds or DURATION_BUCKETS
                 ).merge_snapshot(data)
             elif kind == QuantileSketch.kind:
-                raw_markers = data.get("markers")
-                if raw_markers:
-                    targets = [
-                        float(m["p"])  # type: ignore[index]
-                        for m in raw_markers
-                    ]
-                else:
-                    quantiles = data.get("quantiles") or {}
-                    targets = sorted(
-                        float(q)
-                        for q in quantiles  # type: ignore[union-attr]
-                    )
-                self.summary(
-                    name, targets or DEFAULT_QUANTILES
-                ).merge_snapshot(data)
+                self.summary(name).merge_snapshot(data)
             else:
                 raise MetricError(
                     f"cannot merge metric {name!r}: unknown type "

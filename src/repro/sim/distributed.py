@@ -38,8 +38,8 @@ The coordinator reuses the observability stack of the threaded
 runtime: flight-recorder events (``send_offer``/``block_start``/
 ``block_end``/``rendezvous``/...) for post-hoc audit with
 ``repro obs timeline``/``critpath``, obs metrics when instrumentation
-is enabled, plus always-on local P² sketches so the load driver can
-report latency percentiles without enabling the hooks.
+is enabled, plus an always-on local quantile sketch so the load
+driver can report latency percentiles without enabling the hooks.
 
 Limits (documented, not hidden): process names and payloads must be
 JSON-serializable (strings are the normal case), and scripts are the

@@ -106,6 +106,19 @@ class TestPrometheusRendering:
         with pytest.raises(ValueError):
             write_metrics(registry, str(prom_path), fmt="xml")
 
+    def test_json_is_strict_rfc8259(self):
+        # No bare Infinity/NaN tokens: strict parsers such as jq
+        # reject them.
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        registry = self._registry()
+        registry.summary("lat_seconds").observe(0.5)
+        parsed = json.loads(
+            metrics_to_json(registry), parse_constant=reject
+        )
+        assert parsed["wait_seconds"]["buckets"][-1] == ["+Inf", 3]
+
     def test_json_snapshot_matches_registry(self):
         registry = self._registry()
         parsed = json.loads(metrics_to_json(registry))

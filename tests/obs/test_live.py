@@ -14,13 +14,12 @@ import urllib.request
 from repro.obs import flightrec
 from repro.obs.live import (
     DEADLOCK_SUSPECT,
+    NODE_BLOCK_QUANTILES,
     NODE_BLOCK_SECONDS,
     NODE_COMMITS,
     NODE_EVENT_QUEUE,
     NODE_RECEIVES,
     NODE_SENDS,
-    SKETCH_DECIMATE,
-    SKETCH_EXACT_HEAD,
     STALL,
     STRAGGLER,
     HealthEvent,
@@ -124,31 +123,35 @@ class TestNodeTelemetry:
         )
 
     def test_sketch_decimates_after_exact_head(self):
+        # The node no longer thins the sketch past an exact head of 64
+        # samples: the head is the whole stream.  One fold of a long
+        # stream reaches the sketch in full, so its quantiles are the
+        # log sketch's own (relative error ALPHA), not a 1-in-8 sample.
         tele = NodeTelemetry("P1", clock=FakeClock())
-        total = SKETCH_EXACT_HEAD + 10 * SKETCH_DECIMATE
-        for _ in range(total):
-            tele.on_commit("send", "P2", 0.001)
+        total = 500
+        for index in range(total):
+            tele.on_commit("send", "P2", 0.001 * (1 + index % 10))
         metrics = tele.frame()["metrics"]
-        # Histogram sees every sample; the sketch sees the exact head
-        # plus one in SKETCH_DECIMATE of the tail.
+        sketch = metrics[NODE_BLOCK_QUANTILES]
         assert metrics[NODE_BLOCK_SECONDS]["count"] == total
-        assert metrics["node_block_quantile_seconds"]["count"] == (
-            SKETCH_EXACT_HEAD + 10
-        )
+        assert sketch["count"] == total
+        assert sum(count for _, count in sketch["buckets"]) == total
+        assert abs(sketch["quantiles"]["0.5"] - 0.005) <= 0.01 * 0.005
+        assert abs(sketch["quantiles"]["0.99"] - 0.010) <= 0.01 * 0.010
 
     def test_decimation_counter_survives_folds(self):
-        # Folding in mid-decimation chunks must not reset the 1-in-N
-        # phase, or the effective rate would drift with frame cadence.
+        # With no sampling phase to carry between folds, the sketch and
+        # the histogram count the same samples, however many frames the
+        # commits are spread over.
         tele = NodeTelemetry("P1", clock=FakeClock())
-        total = SKETCH_EXACT_HEAD + 6 * SKETCH_DECIMATE
+        total = 150
         for index in range(total):
-            tele.on_commit("send", "P2", 0.001)
-            if index % 3 == 0:
+            tele.on_commit("send", "P2", 0.001 * (index % 7))
+            if index % 11 == 0:
                 tele.frame()
         metrics = tele.frame()["metrics"]
-        assert metrics["node_block_quantile_seconds"]["count"] == (
-            SKETCH_EXACT_HEAD + 6
-        )
+        assert metrics[NODE_BLOCK_SECONDS]["count"] == total
+        assert metrics[NODE_BLOCK_QUANTILES]["count"] == total
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +212,25 @@ class TestAggregatorIngestion:
         rows = live.node_rows(clock.now)
         assert rows[0]["frames"] == 1
         assert rows[0]["age"] == 0.0
+
+    def test_live_out_lines_are_strict_json(self):
+        # RFC 8259 has no Infinity token; strict parsers such as jq
+        # reject a frame whose histogram edge is a bare float inf.
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        sink = io.StringIO()
+        clock = FakeClock()
+        live = LiveAggregator(
+            ["A"], TelemetryConfig(live_out=sink), clock=clock
+        )
+        tele = NodeTelemetry("A", clock=FakeClock())
+        tele.on_commit("send", "B", 0.001)
+        live.on_telemetry("A", tele.frame(final=True), clock.now)
+        line = sink.getvalue().splitlines()[0]
+        frame = json.loads(line, parse_constant=reject)
+        buckets = frame["metrics"][NODE_BLOCK_SECONDS]["buckets"]
+        assert buckets[-1] == ["+Inf", 1]
 
     def test_live_out_stream_and_summary(self):
         sink = io.StringIO()

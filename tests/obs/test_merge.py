@@ -1,9 +1,9 @@
 """Cross-process metric merging: ``merge`` / ``merge_snapshot``.
 
 The merge contract backing the live telemetry plane: counters and
-histograms fold *exactly*, gauges take the maximum, P² sketches merge
-within the documented accuracy contract, and registries create metrics
-on first sight while rejecting kind mismatches.
+histograms and quantile sketches fold *exactly*, gauges take the
+maximum, and registries create metrics on first sight while rejecting
+kind mismatches.
 """
 
 from __future__ import annotations
@@ -126,8 +126,6 @@ class TestSketchMerge:
         assert a.max == pytest.approx(max(xs + ys))
 
     def test_small_donor_merges_exactly(self):
-        # A donor still holding raw values (< 5 observations) folds in
-        # without resampling error.
         a, b = QuantileSketch("s"), QuantileSketch("s")
         for value in (1.0, 2.0, 3.0):
             b.observe(value)
@@ -153,11 +151,18 @@ class TestSketchMerge:
             exact = pooled[int(target * (len(pooled) - 1))]
             assert abs(estimate - exact) < 0.1, (target, estimate, exact)
 
-    def test_rejects_mismatched_targets(self):
-        a = QuantileSketch("s", quantiles=(0.5,))
-        b = QuantileSketch("s", quantiles=(0.5, 0.99))
-        with pytest.raises(MetricError):
-            a.merge(b)
+    def test_rejects_inconsistent_snapshot_unchanged(self):
+        a, b = QuantileSketch("s"), QuantileSketch("s")
+        a.observe(1.0)
+        for value in (0.0, 2.0, 3.0):
+            b.observe(value)
+        before = a.snapshot()
+        short = dict(b.snapshot(), count=4)
+        negative = dict(b.snapshot(), zeros=-1, count=1)
+        for bad in (short, negative):
+            with pytest.raises(MetricError):
+                a.merge_snapshot(bad)
+        assert a.snapshot() == before
 
 
 class TestRegistryMerge:

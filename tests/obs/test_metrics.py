@@ -112,7 +112,7 @@ class TestRegistry:
         snap = registry.snapshot()
         assert snap["hits"] == {"type": "counter", "value": 3}
         assert snap["sizes"]["count"] == 1
-        assert snap["sizes"]["buckets"][-1][0] == math.inf
+        assert snap["sizes"]["buckets"][-1][0] == "+Inf"
 
     def test_thread_safety_under_contention(self):
         """Many threads hammering the same names must not lose updates

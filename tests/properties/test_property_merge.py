@@ -2,19 +2,19 @@
 
 The live telemetry plane's correctness claim: however the observation
 stream is partitioned across node registries, merging the parts gives
-*exactly* the serial counters and histograms, and P² quantile
-estimates within the documented accuracy contract.
+*exactly* the serial counters, histograms and quantile sketches, and
+every quantile estimate is within relative error ``ALPHA``.
 """
 
 from __future__ import annotations
 
 import json
-import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    ALPHA,
     DURATION_BUCKETS,
     Histogram,
     MetricsRegistry,
@@ -36,6 +36,18 @@ values = st.floats(
 )
 partitions = st.lists(
     st.lists(values, max_size=60), min_size=1, max_size=6
+)
+# Sketch streams add wide spreads and integer byte sizes.
+sketch_values = st.one_of(
+    values,
+    st.floats(
+        min_value=0.0, max_value=1e9, allow_nan=False,
+        allow_infinity=False,
+    ),
+    st.integers(min_value=0, max_value=1 << 20),
+)
+sketch_partitions = st.lists(
+    st.lists(sketch_values, max_size=60), min_size=1, max_size=6
 )
 
 
@@ -113,54 +125,49 @@ class TestExactness:
         assert data["max"] == max(flat)
 
 
-class TestSketchAccuracy:
+class TestSketchExactness:
+    @RELAXED
+    @given(sketch_partitions, st.booleans())
+    def test_merge_equals_serial_observation(self, parts, through_json):
+        """Merging any partition reports what one sketch observing
+        every value reports — every field but the float ``sum``, whose
+        rounding depends on the addition order."""
+        serial = QuantileSketch("s")
+        registries = []
+        for chunk in parts:
+            registry = MetricsRegistry()
+            sketch = registry.summary("s")
+            for value in chunk:
+                sketch.observe(value)
+                serial.observe(value)
+            registries.append(registry)
+        merged = _merge_parts(registries, through_json).snapshot()["s"]
+        expected = serial.snapshot()
+        del merged["sum"], expected["sum"]
+        assert merged == expected
+
     @RELAXED
     @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
         st.lists(
-            st.integers(min_value=50, max_value=400),
-            min_size=2,
-            max_size=5,
-        ),
-        st.booleans(),
+            st.one_of(
+                st.just(0.0),
+                # Subnormals lose precision in GAMMA**k, so the
+                # relative-error contract starts at 1e-9.
+                st.floats(min_value=1e-9, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=200,
+        )
     )
-    def test_merged_quantiles_bounded_rank_error(
-        self, seed, sizes, through_json
-    ):
-        """Merged estimates stay within the accuracy contract.
-
-        On well-behaved (uniform) streams, the rank of each merged
-        estimate must fall near its target — P²'s own error plus the
-        documented merge resampling error.  Adversarial distributions
-        are out of contract (the sketch trades worst-case accuracy
-        for O(1) state), so the property pins the distribution family
-        and randomizes the partition.
-        """
-        rng = random.Random(seed)
-        parts = [
-            [rng.random() for _ in range(size)] for size in sizes
-        ]
-        pooled = sorted(v for part in parts for v in part)
-        sketches = []
-        for part in parts:
-            sketch = QuantileSketch("s")
-            for value in part:
-                sketch.observe(value)
-            sketches.append(sketch)
-        merged = QuantileSketch("s")
-        for sketch in sketches:
-            if through_json:
-                merged.merge_snapshot(
-                    json.loads(json.dumps(sketch.snapshot()))
-                )
-            else:
-                merged.merge(sketch)
-        n = len(pooled)
-        for target, estimate in merged.quantiles().items():
-            rank = sum(1 for v in pooled if v <= estimate) / n
-            assert abs(rank - target) <= 0.15, (
-                target,
-                estimate,
-                rank,
-            )
-            assert pooled[0] <= estimate <= pooled[-1]
+    def test_estimates_within_relative_error(self, stream):
+        sketch = QuantileSketch("s")
+        for value in stream:
+            sketch.observe(value)
+        ordered = sorted(stream)
+        for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+            exact = ordered[int(q * (len(ordered) - 1))]
+            # The 1e-9 slack absorbs float rounding at bucket edges,
+            # where the error is exactly ALPHA.
+            assert abs(sketch.quantile(q) - exact) <= (
+                ALPHA * exact * (1 + 1e-9)
+            ), (q, exact)
