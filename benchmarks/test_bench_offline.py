@@ -37,6 +37,17 @@ rule and ranks through one dict per extension.  Extensions and
 timestamps are asserted identical first, and the library must be at
 least ``REQUIRED_REALIZER_SPEEDUP``x faster.
 
+A fourth region times the Dilworth chain partition on the same
+``offline-federated`` input: ``minimum_chain_partition`` on the message
+poset, whose matching starts from the process chains of a vertex cover
+(64 chains, already minimum), against the same call on a plain
+``Poset`` of the same order, whose matching starts empty.  Both are
+asserted to give 64 chains and the same realizer size first, and the
+seeded partition must be at least ``REQUIRED_PARTITION_SPEEDUP``x
+faster.  The block-local region above partitions a plain ``Poset`` too,
+so its gate keeps comparing block-local with global matching from the
+empty matching.
+
 Results land in ``BENCH_offline.json`` (``make bench-offline``); with
 ``BENCH_OFFLINE_SMOKE=1`` (the CI smoke step) everything runs one round
 at reduced sizes, the speedup is not gated, and the committed snapshot
@@ -55,7 +66,12 @@ import pytest
 from benchmarks.conftest import emit, record_offline_perf
 from repro.clocks.base import TimestampAssignment
 from repro.clocks.offline import OfflineRealizerClock
-from repro.core.chains import BipartiteMatcher, minimum_chain_partition
+from repro.core.chains import (
+    BipartiteMatcher,
+    is_chain_partition,
+    minimum_chain_partition,
+)
+from repro.core.linear_extensions import realizer_size
 from repro.core.poset import Poset, _popcount, diagonal_blocks
 from repro.core.poset_reference import ReferencePoset
 from repro.core.vector import VectorTimestamp
@@ -83,6 +99,10 @@ REQUIRED_BLOCK_SPEEDUP = 2.5
 REALIZER_CLUSTERS = 2 if SMOKE else 8
 REALIZER_PER_CLUSTER = 500
 REQUIRED_REALIZER_SPEEDUP = 3.0
+
+#: Partition region: the realizer region's input, partitioned from the
+#: process-chain seed and from the empty matching.
+REQUIRED_PARTITION_SPEEDUP = 3.0
 
 
 def _workload(messages: int):
@@ -222,8 +242,9 @@ def _block_workload():
 
 
 def _block_local_region(computation):
-    """Closure + chain partition as the library runs them."""
-    poset = message_poset(computation)
+    """Closure + chain partition as the library runs them on a plain
+    poset, whose matching starts empty as the global reference's does."""
+    poset = Poset(computation.messages, covering_pairs(computation))
     chains = minimum_chain_partition(poset)
     return poset.above_bit_rows(), poset.below_bit_rows(), chains
 
@@ -343,10 +364,14 @@ def test_block_local_speedup_snapshot(report_header):
     assert speedup >= REQUIRED_BLOCK_SPEEDUP
 
 
-def _realizer_workload():
-    computation = multi_cluster_computation(
+def _federated_computation():
+    return multi_cluster_computation(
         REALIZER_CLUSTERS, REALIZER_PER_CLUSTER, random.Random(11)
     )
+
+
+def _realizer_workload():
+    computation = _federated_computation()
     poset = message_poset(computation)
     minimum_chain_partition(poset)  # solve and cache the matching
     return computation, poset
@@ -535,3 +560,78 @@ def test_shared_realizer_speedup_snapshot(report_header):
     )
     emit(f"(gated: required >= {REQUIRED_REALIZER_SPEEDUP}x)")
     assert speedup >= REQUIRED_REALIZER_SPEEDUP
+
+
+def _partition_posets(computation):
+    """A fresh message poset and a fresh plain poset of the same order,
+    so neither matching is cached yet."""
+    return (
+        message_poset(computation),
+        Poset(computation.messages, covering_pairs(computation)),
+    )
+
+
+def test_seeded_partition_matches_unseeded(report_header):
+    """Both partitions are minimum and give the same realizer size."""
+    computation = _federated_computation()
+    seeded_poset, plain_poset = _partition_posets(computation)
+    seeded = minimum_chain_partition(seeded_poset)
+    plain = minimum_chain_partition(plain_poset)
+    width = 8 * REALIZER_CLUSTERS  # one chain per server of each cell
+    assert len(seeded) == len(plain) == width
+    assert realizer_size(seeded_poset, seeded) == realizer_size(
+        plain_poset, plain
+    )
+    assert is_chain_partition(seeded_poset, seeded)
+    assert is_chain_partition(plain_poset, plain)
+    report_header(
+        f"Seeded partition: equivalence at {len(computation)} messages"
+    )
+    emit(
+        f"{len(computation)} messages, {len(seeded_poset.process_chains())}"
+        f" seed chains, width {width}: both partitions minimum, realizer "
+        f"size {realizer_size(seeded_poset, seeded)}"
+    )
+
+
+def test_seeded_partition_speedup_snapshot(report_header):
+    """The gated number: empty-start vs. seeded chain partition."""
+    computation = _federated_computation()
+    instrument.disable()
+    plain_seconds = seeded_seconds = float("inf")
+    for _ in range(REPEATS):  # interleaved, so host drift hits both
+        seeded_poset, plain_poset = _partition_posets(computation)
+        started = time.perf_counter()
+        minimum_chain_partition(plain_poset)
+        plain_seconds = min(plain_seconds, time.perf_counter() - started)
+        started = time.perf_counter()
+        chains = minimum_chain_partition(seeded_poset)
+        seeded_seconds = min(seeded_seconds, time.perf_counter() - started)
+    speedup = plain_seconds / seeded_seconds
+    width = len(chains)
+
+    report_header(
+        f"Chain partition, {len(computation)} messages, width {width}"
+    )
+    emit(f"empty start:       {plain_seconds:.4f}s")
+    emit(f"process-chain seed: {seeded_seconds:.4f}s")
+    emit(f"speedup: {speedup:.2f}x")
+    if SMOKE:
+        return
+    record_offline_perf(
+        f"partition_w{width}",
+        {
+            "workload": (
+                f"multi-cluster:{REALIZER_CLUSTERS}x"
+                f"{REALIZER_PER_CLUSTER}"
+            ),
+            "messages": len(computation),
+            "width": width,
+            "seed_chains": len(seeded_poset.process_chains()),
+            "unseeded_seconds": plain_seconds,
+            "seeded_seconds": seeded_seconds,
+            "speedup": speedup,
+        },
+    )
+    emit(f"(gated: required >= {REQUIRED_PARTITION_SPEEDUP}x)")
+    assert speedup >= REQUIRED_PARTITION_SPEEDUP

@@ -15,7 +15,10 @@ plane on, and the JSONL stream written to ``--live-out`` (default
 4. the merge is exact for distributions too: the merged
    ``node_block_quantile_seconds`` count, the merged
    ``node_block_seconds`` count and 2 x committed messages are equal
-   (every blocking sample reaches both the histogram and the sketch);
+   (every blocking sample reaches both the histogram and the sketch).
+   The server commits once per message, 68 times at 4 x 17, so its
+   node-side metrics grow past 64 samples, where a sampling or
+   decimating sketch would drop some;
 5. the ``--live-out`` stream holds telemetry frames, the health
    event(s), and one trailing summary line, all valid JSON.
 
@@ -43,6 +46,8 @@ from repro.obs.live import (  # noqa: E402
 from repro.sim.distributed import run_load  # noqa: E402
 
 SLOW_CLIENT = "C1"
+CLIENT_COUNT = 4
+MESSAGES_PER_CLIENT = 17
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 - py3.9 stub
@@ -78,8 +83,8 @@ def main() -> int:
     )
     transport = run_load(
         server_count=1,
-        client_count=4,
-        messages_per_client=8,
+        client_count=CLIENT_COUNT,
+        messages_per_client=MESSAGES_PER_CLIENT,
         rate=50.0,
         timeout=args.timeout,
         telemetry=config,
@@ -92,7 +97,7 @@ def main() -> int:
         fail("telemetry plane did not come up (transport.live is None)")
     if stats.timeouts:
         fail(f"run hit {stats.timeouts} rendezvous timeout(s)")
-    expected = 4 * 8
+    expected = CLIENT_COUNT * MESSAGES_PER_CLIENT
     if stats.messages != expected:
         fail(f"committed {stats.messages} messages, expected {expected}")
 

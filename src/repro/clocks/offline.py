@@ -22,9 +22,12 @@ Every phase above runs on the bitset poset kernel
 (:mod:`repro.core.poset`): the closure is a word-parallel OR-sweep, the
 Dilworth matching consumes the closed bitmask rows directly, and the
 realizer's forced extensions sweep the cached cover rows, each over its
-own connected component.  The sweep's chain-independent state
-(successor lists, in-degrees, stall thresholds) is built once per
-realizer, and
+own connected component.  The matching starts from the chains the
+processes of a vertex cover already form (each process's messages are
+totally ordered, the fact behind Theorem 8), so where those chains are
+already minimum, Hopcroft–Karp only certifies them.  The sweep's
+chain-independent state (successor lists, in-degrees, stall
+thresholds) is built once per realizer, and
 :func:`~repro.core.linear_extensions.realizer_orders` hands back each
 extension as insertion indices, so step 3 fills one int row of ranks
 per extension and transposes the rows into vectors without hashing a
@@ -41,7 +44,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.clocks.base import MessageTimestamper, TimestampAssignment
-from repro.core.chains import greedy_chain_partition, minimum_chain_partition
+from repro.core.chains import (
+    greedy_chain_partition,
+    minimum_chain_partition,
+    width,
+)
 from repro.core.linear_extensions import realizer_orders, realizer_size
 from repro.core.poset import Poset
 from repro.core.vector import VectorTimestamp
@@ -165,20 +172,25 @@ class OfflineRealizerClock(MessageTimestamper[VectorTimestamp]):
                 zip(elements, map(VectorTimestamp, zip(*rows)))
             )
         m = _obs.metrics
+        aud = _audit.auditor
+        if m is not None or aud is not None:
+            # Greedy peeling may return more chains than the width.
+            poset_width = (
+                len(chains)
+                if self._chain_strategy == "matching"
+                else width(poset)
+            )
         if m is not None:
-            m.offline_width.set(len(chains))
+            m.offline_width.set(poset_width)
             m.offline_vector_size.set(len(orders))
             m.theorem8_bound.set(
                 len(computation.active_processes()) // 2
             )
             m.messages_timestamped.inc(len(poset))
-        aud = _audit.auditor
         if aud is not None:
             # Read-only cross-check against the same poset we stamped
             # from; never mutates the assignment.
-            aud.audit_offline(
-                computation, poset, timestamps, len(chains)
-            )
+            aud.audit_offline(computation, poset, timestamps, poset_width)
         return TimestampAssignment(computation, timestamps)
 
     def precedes(self, ts1: VectorTimestamp, ts2: VectorTimestamp) -> bool:

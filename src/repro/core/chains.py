@@ -16,6 +16,15 @@ involved — run on each diagonal block of the order in block-local index
 space (:meth:`BipartiteMatcher.from_diagonal_blocks`), which finds the
 same matching with block-sized bitmasks.
 
+Any chain partition implies a matching (each element matched to the
+next element of its chain), and Hopcroft–Karp may augment from it
+instead of from the empty matching: by Berge's theorem it still stops
+at a maximum matching, so the result is still a minimum partition.  A
+message poset offers such chains for free, one per process of a vertex
+cover (:meth:`repro.order.message_order.MessagePoset.process_chains`);
+where they are already minimum, the first search finds no augmenting
+path and the matcher stops.
+
 The module also extracts a *maximum antichain* (the width witness) from a
 minimum vertex cover via Kőnig's theorem, and offers a greedy
 longest-chain-peeling partition used by the ablation benchmarks.
@@ -63,7 +72,9 @@ class BipartiteMatcher:
     neighbour scans with word-parallel mask intersections while making
     exactly the same augmenting choices — both modes visit candidate
     right vertices in ascending index order — so the matching, and
-    everything derived from it, is identical either way.
+    everything derived from it, is identical either way.  Either mode
+    may start from the matching a chain family implies
+    (:meth:`seed_chains`) instead of from the empty one.
     """
 
     def __init__(
@@ -127,7 +138,10 @@ class BipartiteMatcher:
 
     @classmethod
     def from_diagonal_blocks(
-        cls, values: Sequence[Element], rows: Sequence[int]
+        cls,
+        values: Sequence[Element],
+        rows: Sequence[int],
+        chains: Iterable[Sequence[int]] = (),
     ) -> "BipartiteMatcher":
         """A solved square matcher over ``rows``, one block at a time.
 
@@ -140,15 +154,22 @@ class BipartiteMatcher:
         block's share of one run over all rows: the merged matching is
         the one :meth:`from_bitmask_rows` finds, while every mask
         operation works on block-sized integers.
+
+        ``chains`` seeds the matching as :meth:`seed_chains` does.
+        Neighbours in a chain share an edge, hence a block, so each
+        block starts from its own share of the seed, shifted to
+        block-local indices.
         """
         matcher = cls.from_bitmask_rows(values, values, rows)
         match_left = matcher._match_left
         match_right = matcher._match_right
+        successor = _chain_successors(len(rows), chains)
         for lo, hi in diagonal_blocks(rows):
             span = range(hi - lo)
             block = cls.from_bitmask_rows(
                 span, span, block_rows(rows, lo, hi)
             )
+            block._seed(successor[lo:hi], lo)
             block._ensure_solved()
             for i, j in enumerate(block._match_left):
                 if j != _FREE:
@@ -173,6 +194,41 @@ class BipartiteMatcher:
         self._match_right: List[int] = [_FREE] * len(right_values)
         self._matching_size = 0
         self._solved = False
+
+    def seed_chains(self, chains: Iterable[Sequence[int]]) -> None:
+        """Start from the matching that ``chains`` imply.
+
+        For a square matcher whose sides are the same elements: each
+        chain lists indices, and each index is matched to the next index
+        of its chain.  Those pairs must be edges between vertices still
+        free, or :class:`ValueError` is raised.  Hopcroft–Karp then
+        augments from this matching instead of from the empty one, and
+        by Berge's theorem still ends at a maximum matching.
+        """
+        self._seed(_chain_successors(len(self._left), chains))
+
+    def _seed(self, successor: Sequence[int], offset: int = 0) -> None:
+        """Match left ``i`` to right ``successor[i] - offset`` wherever
+        ``successor[i]`` is not :data:`_FREE`."""
+        masks = self._adj_masks
+        match_left = self._match_left
+        match_right = self._match_right
+        for i, j in enumerate(successor):
+            if j == _FREE:
+                continue
+            j -= offset
+            edge = (
+                j in self._adj[i] if masks is None else (masks[i] >> j) & 1
+            )
+            if not edge or match_left[i] != _FREE or match_right[j] != _FREE:
+                raise ValueError(
+                    f"seed pair ({i}, {j}) is not an edge between free "
+                    "vertices"
+                )
+            match_left[i] = j
+            match_right[j] = i
+            self._free_right_mask &= ~(1 << j)
+            self._matching_size += 1
 
     # ------------------------------------------------------------------
     def solve(self) -> Dict[Element, Element]:
@@ -441,6 +497,18 @@ class BipartiteMatcher:
         return left_cover, right_cover
 
 
+def _chain_successors(
+    n: int, chains: Iterable[Sequence[int]]
+) -> List[int]:
+    """``successor[i]``: the index after ``i`` in its chain, else
+    :data:`_FREE`."""
+    successor = [_FREE] * n
+    for chain in chains:
+        for lower, upper in zip(chain, chain[1:]):
+            successor[lower] = upper
+    return successor
+
+
 # ----------------------------------------------------------------------
 # Dilworth machinery on posets
 # ----------------------------------------------------------------------
@@ -457,6 +525,11 @@ def _comparability_matcher(poset: Poset) -> BipartiteMatcher:
     matcher = _MATCHER_CACHE.get(poset)
     if matcher is None:
         elements = poset.elements
+        # A poset that knows chains covering it for free (a message
+        # poset's process chains) seeds the matching with them; any
+        # other poset starts from the empty matching.
+        process_chains = getattr(poset, "process_chains", None)
+        chains = process_chains() if process_chains is not None else ()
         # The poset's closed bitmask rows are exactly the bipartite
         # adjacency (x_left -> y_right iff x < y); posets without the
         # bitset kernel (the reference implementation) fall back to the
@@ -464,12 +537,13 @@ def _comparability_matcher(poset: Poset) -> BipartiteMatcher:
         rows = getattr(poset, "above_bit_rows", None)
         if rows is not None:
             matcher = BipartiteMatcher.from_diagonal_blocks(
-                elements, rows()
+                elements, rows(), chains
             )
         else:
             matcher = BipartiteMatcher.from_adjacency_lists(
                 elements, elements, poset.successor_index()
             )
+            matcher.seed_chains(chains)
         _MATCHER_CACHE[poset] = matcher
     return matcher
 
@@ -481,18 +555,21 @@ def minimum_chain_partition(poset: Poset) -> List[List[Element]]:
     equals :func:`width`.
     """
     matcher = _comparability_matcher(poset)
-    match_left = matcher.solve()
-    # Successor pointers along matched edges form the chains.
-    has_predecessor: Set[Element] = set(match_left.values())
+    matcher._ensure_solved()
+    # Successor pointers along matched edges form the chains; a chain
+    # starts at every element no matched edge enters.
+    successor = matcher._match_left
+    has_predecessor = matcher._match_right
+    elements = poset.elements
     chains: List[List[Element]] = []
-    for element in poset.elements:
-        if element in has_predecessor:
+    for i, element in enumerate(elements):
+        if has_predecessor[i] != _FREE:
             continue
         chain = [element]
-        current = element
-        while current in match_left:
-            current = match_left[current]
-            chain.append(current)
+        j = successor[i]
+        while j != _FREE:
+            chain.append(elements[j])
+            j = successor[j]
         chains.append(chain)
     return chains
 

@@ -143,8 +143,8 @@ class ObsMetrics:
         )
         self.offline_width = registry.gauge(
             "offline_width",
-            "Chains in Figure 9's partition: width(M, sync-precedes) "
-            "under the matching strategy",
+            "Width(M, sync-precedes) of Figure 9's message poset, under "
+            "either chain strategy",
         )
         self.offline_vector_size = registry.gauge(
             "offline_vector_size",

@@ -9,7 +9,10 @@ closure of ``▷``.
 This module computes the poset directly from the execution order — it
 is the oracle every clock algorithm is verified against, so it is kept
 deliberately simple: per-process projections give ``▷``, and
-:class:`repro.core.poset.Poset` computes the closure.
+:class:`repro.core.poset.Poset` computes the closure.  The poset also
+remembers its computation, so it can hand the chain machinery the chains
+that the processes of a vertex cover already form
+(:meth:`MessagePoset.process_chains`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.poset import Poset
+from repro.graphs.vertex_cover import greedy_vertex_cover
 from repro.sim.computation import SyncComputation, SyncMessage
 
 
@@ -59,7 +63,48 @@ def covering_pairs(
     return pairs
 
 
-def message_poset(computation: SyncComputation) -> Poset:
+class MessagePoset(Poset):
+    """``(M, ↦)`` together with the computation it was built from.
+
+    Section 2 orders any two messages that share a process, so each
+    process's messages form a chain, and the processes of a vertex cover
+    of the topology split ``M`` into chains for free.
+    :func:`repro.core.chains.minimum_chain_partition` starts its
+    matching from those chains.  :meth:`restricted_to` and :meth:`dual`
+    return plain :class:`Poset` objects, which carry no process chains.
+    """
+
+    __slots__ = ("_computation",)
+
+    def __init__(self, computation: SyncComputation):
+        super().__init__(computation.messages, covering_pairs(computation))
+        self._computation = computation
+
+    def process_chains(self) -> List[List[int]]:
+        """Chains of insertion indices, one per busy cover process.
+
+        Each message goes to whichever of its two processes comes first
+        in :func:`~repro.graphs.vertex_cover.greedy_vertex_cover` order;
+        every channel has an endpoint in the cover, so every message is
+        placed.  A process's messages are ordered by ``▷``, and message
+        ``i`` sits at insertion index ``i``, so each list is a chain,
+        bottom to top.
+        """
+        cover = greedy_vertex_cover(self._computation.topology)
+        rank = {process: k for k, process in enumerate(cover)}
+        absent = len(cover)
+        chains: List[List[int]] = [[] for _ in cover]
+        for i, message in enumerate(self._computation.messages):
+            chains[
+                min(
+                    rank.get(message.sender, absent),
+                    rank.get(message.receiver, absent),
+                )
+            ].append(i)
+        return [chain for chain in chains if chain]
+
+
+def message_poset(computation: SyncComputation) -> MessagePoset:
     """The poset ``(M, ↦)``: transitive closure of ``▷``.
 
     Elements are the :class:`SyncMessage` objects themselves (they are
@@ -72,7 +117,7 @@ def message_poset(computation: SyncComputation) -> Poset:
     >>> poset.less(comp.message("m1"), comp.message("m2"))
     True
     """
-    return Poset(computation.messages, covering_pairs(computation))
+    return MessagePoset(computation)
 
 
 def directly_precedes(

@@ -21,7 +21,8 @@ from repro.graphs.generators import (
     path_topology,
     star_topology,
 )
-from repro.obs.instrument import piggyback_size_bytes
+from repro.obs.audit import audit_session
+from repro.obs.instrument import enabled_session, piggyback_size_bytes
 from repro.order.checker import check_encoding
 from repro.order.message_order import message_poset
 from repro.sim.computation import SyncComputation
@@ -163,6 +164,24 @@ def _sha256_json(value) -> str:
     ).hexdigest()
 
 
+class TestGreedyStrategyObservability:
+    def test_width_not_chain_count_reaches_gauge_and_audit(self):
+        """Greedy peeling takes 4 chains where the width is 3; the gauge
+        and the Theorem 8 audit (bound 6 // 2 = 3) must see the width."""
+        computation = random_computation(
+            complete_topology(6), 40, random.Random(1)
+        )
+        clock = OfflineRealizerClock(chain_strategy="greedy")
+        with enabled_session() as bundle, audit_session(
+            sample_rate=0.0
+        ) as auditor:
+            clock.timestamp_computation(computation)
+        assert len(clock.chain_partition) == 4
+        assert bundle.offline_width.value == 3
+        assert auditor.bounds_checked == 1
+        assert auditor.violations == []
+
+
 class TestPinnedOutputs:
     """SHA-256 digests of Figure 9 output on block-diagonal posets.
 
@@ -170,29 +189,32 @@ class TestPinnedOutputs:
     inputs pin that the block-local results are byte-identical to the
     global ones: the timestamp file (``assignment_to_dict`` with sorted
     keys) and the minimum chain partition (message names per chain, in
-    order).  The federated cases have 8 and 16 blocks, and their
-    timestamps carry 8 sum-rule components (widths 64 and 128); the
-    client-server case is one block, stamped with one extension per
-    chain.
+    order).  The matching starts from the message poset's process
+    chains (one per process of the greedy vertex cover, each message on
+    its first cover endpoint), which are already minimum on all three
+    inputs, so the pinned partition is that seed.  The federated cases
+    have 8 and 16 blocks, and their timestamps carry 8 sum-rule
+    components (widths 64 and 128); the client-server case is one
+    block, stamped with one extension per chain.
     """
 
     CASES = {
         "federated-8x500": (
             lambda: multi_cluster_computation(8, 500, random.Random(11)),
-            "58523a3b9f23d04034bfd60a38d7318f9e4ef811c19c7e4564f8becfa2ac419b",
-            "895427a612723e575844206dc412f01c27e75dfcb9ab5a3a26d28c4ff779d982",
+            "e59a65617ae7c5cadcaf34d501ad2a8702deec5b3d6568885c1b3648ac30b9df",
+            "b3cd1ce8ee6f40ec0a9a4abe29ca50782425ab3ac7c6681ddaa6789d63b9e1ac",
         ),
         "federated-16x125": (
             lambda: multi_cluster_computation(16, 125, random.Random(7)),
-            "83d68c04690660fabd3e3deee21be0c648cce5e1585b96d9db90f89b7de554b5",
-            "f380912ab4822dc0f76db57391480bced4fb60df76d8f9324645ba9557ca18cf",
+            "c807e5ecdce30f35fc8f763e69d967af0f39acba66b750d4624c4cf10f8044f8",
+            "71309e70789c1d4d353a92d771cd9c8f7bdc2f55ad13ca26fcb5ae182807ba62",
         ),
         "client-server-3x27": (
             lambda: random_computation(
                 client_server_topology(3, 27), 2000, random.Random(11)
             ),
-            "e22a841465eac3833ef9ca08fbfa2b108ce0eaacae6857da07ce72fa9144b16c",
-            "a352f19ced48d041253d2bce6b26d47f9c99d293c86126c3d53fa42b5a534253",
+            "6d564e9617b54bec4d57b83991012aac8b7941be849b79c81fa44ad066bc221b",
+            "6dd74c81a4c84fd6892669da5b80d06f33b5ecf7979b0b7783e05cfdfc178d68",
         ),
     }
 

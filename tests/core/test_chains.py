@@ -88,6 +88,63 @@ class TestBipartiteMatcher:
         assert matching == {f"u{i}": f"r{i}" for i in range(k)}
 
 
+class TestSeededMatcher:
+    """Hopcroft–Karp augmenting from the matching a chain family implies."""
+
+    # a < c, b < c, b < d: width 2.
+    ROWS = [0b0100, 0b1100, 0, 0]
+
+    def _list_mode(self):
+        return BipartiteMatcher.from_adjacency_lists(
+            "abcd", "abcd", [[2], [2, 3], [], []]
+        )
+
+    def test_non_minimum_seed_is_augmented(self):
+        # Seed a < c alone leaves b and d unmatched: 3 chains.
+        for matcher in (
+            self._list_mode(),
+            BipartiteMatcher.from_bitmask_rows("abcd", "abcd", self.ROWS),
+        ):
+            matcher.seed_chains([[0, 2], [1], [3]])
+            assert matcher.matching_size() == 2
+            assert matcher.solve() == {"a": "c", "b": "d"}
+
+    def test_diagonal_blocks_seed_in_block_local_indices(self):
+        # Two copies of ROWS, the second shifted into positions 4..7.
+        rows = self.ROWS + [row << 4 for row in self.ROWS]
+        matcher = BipartiteMatcher.from_diagonal_blocks(
+            range(8), rows, [[4, 6], [0, 2]]
+        )
+        assert matcher.solve() == {0: 2, 1: 3, 4: 6, 5: 7}
+
+    def test_minimum_seed_is_kept_without_augmenting(self, monkeypatch):
+        calls = []
+        original = BipartiteMatcher._dfs_augment
+
+        def counting(self, root, layers):
+            calls.append(root)
+            return original(self, root, layers)
+
+        monkeypatch.setattr(BipartiteMatcher, "_dfs_augment", counting)
+        matcher = self._list_mode()
+        matcher.seed_chains([[0, 2], [1, 3]])
+        assert matcher.solve() == {"a": "c", "b": "d"}
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "chains",
+        [[[0, 1]], [[2, 0]], [[0, 2], [1, 2]]],
+        ids=["incomparable", "downward", "shared-successor"],
+    )
+    def test_seed_must_be_a_matching_of_edges(self, chains):
+        for matcher in (
+            self._list_mode(),
+            BipartiteMatcher.from_bitmask_rows("abcd", "abcd", self.ROWS),
+        ):
+            with pytest.raises(ValueError):
+                matcher.seed_chains(chains)
+
+
 class TestMatcherCache:
     def test_same_poset_reuses_matcher(self):
         poset = standard_example(3)

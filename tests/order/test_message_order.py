@@ -6,8 +6,16 @@ import random
 
 import pytest
 
+from repro.core.chains import (
+    is_chain_partition,
+    minimum_chain_partition,
+    width,
+)
+from repro.core.poset import Poset
 from repro.graphs.generators import complete_topology, path_topology
+from repro.graphs.vertex_cover import greedy_vertex_cover
 from repro.order.message_order import (
+    MessagePoset,
     covering_pairs,
     concurrent_messages,
     direct_precedence_pairs,
@@ -87,6 +95,47 @@ class TestPoset:
         poset = message_poset(computation)
         for m1, m2 in poset.relation_pairs():
             assert m1.index < m2.index
+
+
+class TestProcessChains:
+    def test_chains_partition_the_messages_by_cover_process(self, fig1):
+        poset = message_poset(fig1)
+        assert isinstance(poset, MessagePoset)
+        chains = poset.process_chains()
+        elements = poset.elements
+        assert is_chain_partition(
+            poset, [[elements[i] for i in chain] for chain in chains]
+        )
+        rank = {
+            process: k
+            for k, process in enumerate(greedy_vertex_cover(fig1.topology))
+        }
+        for chain in chains:
+            owners = {
+                min(m.participants(), key=lambda p: rank.get(p, len(rank)))
+                for m in (elements[i] for i in chain)
+            }
+            assert len(owners) == 1
+
+    def test_seed_above_width_comes_back_minimum(self):
+        computation = random_computation(
+            complete_topology(6), 30, random.Random(0)
+        )
+        poset = message_poset(computation)
+        assert len(poset.process_chains()) == 5
+        chains = minimum_chain_partition(poset)
+        assert len(chains) == 2 == width(poset)
+        assert is_chain_partition(poset, chains)
+
+    def test_derived_posets_carry_no_process_chains(self, fig1):
+        poset = message_poset(fig1)
+        first_two = poset.elements[:2]
+        assert type(poset.restricted_to(first_two)) is Poset
+        assert type(poset.dual()) is Poset
+
+    def test_empty_computation_has_no_chains(self):
+        computation = SyncComputation.from_pairs(path_topology(2), [])
+        assert message_poset(computation).process_chains() == []
 
 
 class TestChains:

@@ -14,7 +14,13 @@ from repro.clocks.fm import FMMessageClock
 from repro.clocks.lamport import LamportMessageClock
 from repro.clocks.offline import OfflineRealizerClock, theorem8_bound
 from repro.clocks.online import OnlineEdgeClock
-from repro.core.chains import width
+from repro.core.chains import (
+    is_chain_partition,
+    minimum_chain_partition,
+    width,
+)
+from repro.core.linear_extensions import realizer_size
+from repro.core.poset import Poset
 from repro.graphs.decomposition import (
     bounded_decomposition,
     decompose,
@@ -141,6 +147,35 @@ class TestOfflineClockProperties:
         assert clock.timestamp_size == _sum_rule_size(poset)
         assert clock.timestamp_size <= width(poset)
         assert width(poset) <= max(1, theorem8_bound(computation))
+
+
+class TestProcessChainSeed:
+    """The matching starts from the message poset's process chains and
+    still ends at a minimum chain partition (Berge)."""
+
+    @RELAXED
+    @given(
+        st.one_of(
+            clustered_computations(),
+            merged_cluster_computations(),
+            computations(max_messages=30),
+        )
+    )
+    def test_seeded_partition_is_minimum(self, computation):
+        poset = message_poset(computation)
+        chains = minimum_chain_partition(poset)
+        generic = Poset(poset.elements, poset.relation_pairs())
+        assert is_chain_partition(poset, chains)
+        assert len(chains) == width(generic)
+        assert realizer_size(poset, chains) == realizer_size(
+            generic, minimum_chain_partition(generic)
+        )
+        if len(computation) <= 60:
+            clock = OfflineRealizerClock()
+            report = check_encoding(
+                clock, clock.timestamp_computation(computation)
+            )
+            assert report.characterizes
 
 
 class TestBaselineProperties:

@@ -9,7 +9,8 @@ inputs:
   long runs whose components need two- and three-byte varints;
 * the weak matcher cache must be invisible: ``width``,
   ``minimum_chain_partition`` and ``maximum_antichain`` return the same
-  answers on repeated calls and match a freshly built identical poset.
+  answers on repeated calls and match a message poset freshly built
+  from the same computation.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from repro.graphs.decomposition import decompose
 from repro.graphs.generators import client_server_topology, path_topology
 from repro.obs import instrument
 from repro.obs.metrics import MetricsRegistry
+from repro.order.message_order import message_poset
 from repro.sim.workload import random_computation
 from tests.strategies import (
+    computations,
     decomposed_computations,
     posets_from_computations,
 )
@@ -141,10 +144,15 @@ class TestMatcherCacheEquivalence:
         assert len(first[2]) == first[0]
 
     @RELAXED
-    @given(posets_from_computations(max_messages=25))
-    def test_cached_poset_matches_fresh_poset(self, poset):
+    @given(computations(max_messages=25))
+    def test_cached_poset_matches_fresh_poset(self, computation):
+        poset = message_poset(computation)
         cached_width = width(poset)  # populates the cache
         cached_partition = minimum_chain_partition(poset)
-        fresh = Poset(poset.elements, poset.relation_pairs())
+        # Built the same way, so it starts from the same process chains.
+        fresh = message_poset(computation)
         assert width(fresh) == cached_width
         assert minimum_chain_partition(fresh) == cached_partition
+        # A generic poset of the same order starts from no chains.
+        generic = Poset(poset.elements, poset.relation_pairs())
+        assert width(generic) == cached_width

@@ -11,7 +11,9 @@ results against references that never cut: the dict-of-sets
 the adjacency-list Hopcroft–Karp run over all of it) and a quadratic
 span scan kept in this file.  They run on clustered computations (one
 block per cluster or more) and on random posets whose insertion order
-is not topological, with one block and with several.
+is not topological, with one block and with several.  The offline
+clock's check gives the reference kernel the message poset's process
+chains, so both matchers start from the same seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.core.chains import (
 )
 from repro.core.poset import Poset, diagonal_blocks
 from repro.core.poset_reference import ReferencePoset
-from repro.order.message_order import covering_pairs
+from repro.order.message_order import MessagePoset, covering_pairs
 from tests.strategies import clustered_computations, computations
 
 RELAXED = settings(
@@ -67,6 +69,20 @@ def backward_posets(draw, max_blocks: int = 4, max_block_size: int = 8):
                     pairs.append((ranked[a], ranked[b]))
         lo += size
     return list(range(lo)), pairs
+
+
+class _ReferenceMessagePoset(ReferencePoset):
+    """The reference kernel over a computation's messages, offering the
+    same process chains as :func:`message_poset`, so both kernels start
+    their matching from the same seed."""
+
+    __slots__ = ("_computation",)
+
+    def __init__(self, computation):
+        super().__init__(computation.messages, covering_pairs(computation))
+        self._computation = computation
+
+    process_chains = MessagePoset.process_chains
 
 
 def _rows(reference: ReferencePoset):
@@ -155,10 +171,7 @@ class TestOfflineParity:
         assignment = clock.timestamp_computation(computation)
         reference_clock = OfflineRealizerClock()
         reference = reference_clock.timestamp_poset(
-            computation,
-            ReferencePoset(
-                computation.messages, covering_pairs(computation)
-            ),
+            computation, _ReferenceMessagePoset(computation)
         )
         assert clock.chain_partition == reference_clock.chain_partition
         for message in computation.messages:
