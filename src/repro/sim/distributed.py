@@ -28,6 +28,15 @@ switchboard *and* the sequencer:
   merges and increments; sender and receiver provably agree on the
   timestamp, and the node cross-checks it against the receiver's view.
 
+Those five frames have fixed binary layouts (:mod:`repro.sim.wire`):
+processes travel as slots, the payload as JSON bytes, the timestamp
+as LEB128.  The coordinator forwards DELIVER's payload bytes and
+ACK_DOWN's whole body without re-encoding either, and decodes the
+timestamp and the payload once per commit.  Its loop keeps the
+per-frame work small: the expiry sweep runs only once a cached lower
+bound on the earliest deadline has passed, and flight-recorder calls
+are skipped when no recorder is installed.
+
 Because matching, timeout expiry, and stale-offer reclamation all
 happen inside one event loop, the races fixed in the threaded
 transport (timeout-clock resets, stale offers matched after a sender
@@ -43,11 +52,13 @@ driver can report latency percentiles without enabling the hooks.
 
 Limits (documented, not hidden): process names and payloads must be
 JSON-serializable (strings are the normal case), and scripts are the
-same action lists :class:`~repro.sim.runtime.ScriptRunner` takes.
+same action lists :class:`~repro.sim.runtime.ScriptRunner` takes;
+every send and every named receive must be to or from a neighbour.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import selectors
@@ -85,9 +96,11 @@ from repro.sim.runtime import (
     DeliveredMessage,
     ReceiveAction,
     SendAction,
+    check_script_peers,
 )
 from repro.clocks.delta import make_codec
 from repro.sim.wire import (
+    ANY_SOURCE,
     MSG_ACK_DOWN,
     MSG_ACK_UP,
     MSG_CRASHED,
@@ -105,8 +118,21 @@ from repro.sim.wire import (
     FrameBuffer,
     FrameSocket,
     WireError,
+    decode_payload,
+    decode_stamp,
+    encode_payload,
+    encode_varints,
+    forward_ack,
+    pack_ack,
+    pack_message,
+    pack_peer,
+    pack_recv,
     parse_wire_format,
-    send_message,
+    send_frame,
+    unpack_ack,
+    unpack_message,
+    unpack_peer,
+    unpack_recv,
 )
 
 __all__ = [
@@ -202,6 +228,8 @@ def _node_worker(
     """
     codec = make_codec(wire_format, decomposition.size)
     clock = OnlineProcessClock(name, decomposition)
+    processes = decomposition.graph.vertices
+    slot_of = {process: slot for slot, process in enumerate(processes)}
     tele: Optional[NodeTelemetry] = None
     if telemetry is not None:
         tele = NodeTelemetry(name, telemetry[0], telemetry[1])
@@ -228,85 +256,61 @@ def _node_worker(
                 t_block = (
                     time.monotonic() if tele is not None else 0.0
                 )
-                piggy = codec.encode(
-                    (name, action.to), clock.prepare_send()
+                to = action.to
+                piggy = codec.encode((name, to), clock.prepare_send())
+                fs.send_frame(
+                    pack_peer(
+                        MSG_OFFER,
+                        slot_of[to],
+                        encode_payload(action.payload),
+                        piggy,
+                    )
                 )
-                fs.send_message(
-                    MSG_OFFER,
-                    {"to": action.to, "payload": action.payload},
-                    piggy,
+                stamp, vec = unpack_ack(
+                    _await_reply(fs, MSG_ACK_DOWN, "send")
                 )
-                reply = fs.recv_message()
-                if reply is None:
-                    raise WireError("coordinator vanished during a send")
-                kind, header, vec = reply
-                if kind == MSG_TIMEOUT:
-                    raise RuntimeDeadlockError(
-                        header.get("reason", "send timed out")
-                    )
-                if kind == MSG_SHUTDOWN:
-                    raise SimulationError(
-                        header.get("reason", "run was shut down")
-                    )
-                if kind != MSG_ACK_DOWN:
-                    raise WireError(
-                        f"unexpected frame kind {kind} during a send"
-                    )
-                ack = codec.decode((action.to, name), vec)
-                timestamp = clock.on_acknowledgement(action.to, ack)
-                receiver_view = header.get("timestamp")
-                if receiver_view is not None and list(
-                    timestamp
-                ) != list(receiver_view):
+                ack = codec.decode((to, name), vec)
+                timestamp = clock.on_acknowledgement(to, ack)
+                # LEB128 is canonical, so equal bytes are equal vectors.
+                if encode_varints(timestamp) != stamp:
                     raise SimulationError(
                         "sender and receiver disagree on a message "
                         f"timestamp: {list(timestamp)} vs "
-                        f"{list(receiver_view)}"
+                        f"{_receiver_view(stamp, decomposition.size)}"
                     )
                 if tele is not None:
                     t_end = time.monotonic()
                     tele.on_commit(
-                        "send", action.to, t_end - t_block, t_end
+                        "send", to, t_end - t_block, t_end
                     )
             elif isinstance(action, ReceiveAction):
                 t_block = (
                     time.monotonic() if tele is not None else 0.0
                 )
-                fs.send_message(MSG_RECV, {"source": action.source})
-                reply = fs.recv_message()
-                if reply is None:
-                    raise WireError(
-                        "coordinator vanished during a receive"
+                source = action.source
+                fs.send_frame(
+                    pack_recv(
+                        ANY_SOURCE if source is None else slot_of[source]
                     )
-                kind, header, vec = reply
-                if kind == MSG_TIMEOUT:
-                    raise RuntimeDeadlockError(
-                        header.get("reason", "receive timed out")
-                    )
-                if kind == MSG_SHUTDOWN:
-                    raise SimulationError(
-                        header.get("reason", "run was shut down")
-                    )
-                if kind != MSG_DELIVER:
-                    raise WireError(
-                        f"unexpected frame kind {kind} during a receive"
-                    )
-                piggybacked = codec.decode((header["sender"], name), vec)
-                ack_vector, timestamp = clock.on_receive(
-                    header["sender"], piggybacked
                 )
-                fs.send_message(
-                    MSG_ACK_UP,
-                    {"timestamp": list(timestamp)},
-                    codec.encode((name, header["sender"]), ack_vector),
+                sender, _, vec = unpack_peer(
+                    _await_reply(fs, MSG_DELIVER, "receive"), processes
+                )
+                piggybacked = codec.decode((sender, name), vec)
+                ack_vector, timestamp = clock.on_receive(
+                    sender, piggybacked
+                )
+                fs.send_frame(
+                    pack_ack(
+                        MSG_ACK_UP,
+                        encode_varints(timestamp),
+                        codec.encode((name, sender), ack_vector),
+                    )
                 )
                 if tele is not None:
                     t_end = time.monotonic()
                     tele.on_commit(
-                        "receive",
-                        header["sender"],
-                        t_end - t_block,
-                        t_end,
+                        "receive", sender, t_end - t_block, t_end
                     )
             elif isinstance(action, ComputeAction):
                 fs.send_message(MSG_INTERNAL, {"label": action.label})
@@ -337,6 +341,35 @@ def _node_worker(
         fs.close()
 
 
+def _await_reply(fs: FrameSocket, expected: int, op: str) -> bytes:
+    """The coordinator's answer to a send or a receive.
+
+    A TIMEOUT or SHUTDOWN raises the error it carries; any other kind
+    than ``expected`` is a protocol violation.
+    """
+    reply = fs.recv_frame()
+    if reply is None:
+        raise WireError(f"coordinator vanished during a {op}")
+    kind = reply[0] if reply else None
+    if kind == expected:
+        return reply
+    if kind == MSG_TIMEOUT:
+        _, header, _ = unpack_message(reply)
+        raise RuntimeDeadlockError(header.get("reason", f"{op} timed out"))
+    if kind == MSG_SHUTDOWN:
+        _, header, _ = unpack_message(reply)
+        raise SimulationError(header.get("reason", "run was shut down"))
+    raise WireError(f"unexpected frame kind {kind} during a {op}")
+
+
+def _receiver_view(stamp: bytes, size: int) -> Any:
+    """An ACK_DOWN timestamp for an error message, raw if malformed."""
+    try:
+        return decode_stamp(stamp, size)
+    except WireError:
+        return stamp
+
+
 def _best_effort_fail(fs: FrameSocket, error: str, kind: str) -> None:
     try:
         fs.send_message(MSG_FAIL, {"error": error, "error_type": kind})
@@ -349,11 +382,15 @@ def _best_effort_fail(fs: FrameSocket, error: str, kind: str) -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class _PendingOffer:
-    """A parked OFFER waiting in a receiver's inbox."""
+    """A parked OFFER waiting in a receiver's inbox.
+
+    ``payload`` holds the offer's JSON payload bytes: DELIVER forwards
+    them as they came, and the commit decodes them once.
+    """
 
     sender: Process
     to: Process
-    payload: Any
+    payload: bytes
     piggy: bytes
     deadline: float
     t_start: float
@@ -388,8 +425,10 @@ class RuntimeStats:
     ``piggyback_wire_bytes`` counts every socket leg those vectors
     actually travelled (twice the algorithmic cost under the
     star-through-coordinator transport).  ``frame_bytes`` counts every
-    byte the coordinator's sockets moved in either direction: length
-    prefix, kind, JSON header and piggyback, of every frame.
+    byte the coordinator's sockets moved in either direction, of every
+    frame: length prefix and kind, then a rendezvous frame's slots,
+    payload, timestamp and piggyback, or a control frame's JSON
+    header.
     ``traffic_seconds`` spans the first offer to the last commit, which
     is the window ``msg/s`` describes; ``wall_seconds`` includes
     process spawn and teardown.
@@ -549,8 +588,17 @@ class _Coordinator:
         live: Optional[LiveAggregator] = None,
     ):
         self._decomposition = decomposition
+        self._processes = decomposition.graph.vertices
+        self._slot_of = {
+            process: slot for slot, process in enumerate(self._processes)
+        }
         self._expected = set(expected)
         self._timeout = timeout
+        # A lower bound on the earliest pending deadline (``inf`` when
+        # nothing waits).  Every deadline is ``now + timeout``, so a
+        # newer wait never expires before an older one: the expiry
+        # sweep and the full deadline scan run only once this passes.
+        self._due = math.inf
         self._idle_timeout = idle_timeout
         self._wire_format = wire_format
         self._live = live
@@ -605,22 +653,26 @@ class _Coordinator:
         if fr is not None:
             fr.record(kind, process, peer=peer, **detail)
 
-    def _send(
-        self,
-        node: Process,
-        kind: int,
-        header: Dict[str, Any],
-        vec: bytes = b"",
-    ) -> None:
+    def _send(self, node: Process, payload: bytes) -> None:
         conn = self._conn_of.get(node)
         if conn is None:
             return
         try:
-            self.result.stats.frame_bytes += send_message(
-                conn, kind, header, vec
-            )
+            self.result.stats.frame_bytes += send_frame(conn, payload)
         except OSError:
             self._drop_connection(conn, error=True)
+
+    def _send_control(
+        self, node: Process, kind: int, header: Dict[str, Any]
+    ) -> None:
+        self._send(node, pack_message(kind, header))
+
+    def _deadline(self, now: float) -> float:
+        """The deadline of a wait that starts ``now``."""
+        deadline = now + self._timeout
+        if deadline < self._due:
+            self._due = deadline
+        return deadline
 
     def _drop_connection(
         self, conn: socket.socket, error: bool
@@ -662,7 +714,7 @@ class _Coordinator:
             inbox[:] = [o for o in inbox if o.sender != name]
         match = self._awaiting_ack.pop(name, None)
         if match is not None:
-            self._send(
+            self._send_control(
                 match.offer.sender,
                 MSG_TIMEOUT,
                 {
@@ -698,56 +750,45 @@ class _Coordinator:
         )
 
     def _on_offer(
-        self,
-        sender: Process,
-        header: Dict[str, Any],
-        piggy: bytes,
-        now: float,
+        self, sender: Process, frame: bytes, now: float
     ) -> None:
-        to = header.get("to")
-        if to not in self._inboxes:
-            raise WireError(
-                f"offer from {sender!r} to unknown process {to!r}"
-            )
+        to, payload, piggy = unpack_peer(frame, self._processes)
         if self._first_offer_t is None:
             self._first_offer_t = now
         offer = _PendingOffer(
-            sender=sender,
-            to=to,
-            payload=header.get("payload"),
-            piggy=piggy,
-            deadline=now + self._timeout,
-            t_start=now,
+            sender, to, payload, piggy, self._deadline(now), now
         )
         self._inboxes[to].append(offer)
         self.result.stats.piggyback_bytes += len(piggy)
         self.result.stats.piggyback_wire_bytes += len(piggy)
-        self._record(_flightrec.SEND_OFFER, sender, peer=to)
-        self._record(
-            _flightrec.BLOCK_START, sender, peer=to, op="send"
-        )
+        fr = _flightrec.recorder
+        if fr is not None:
+            fr.record(_flightrec.SEND_OFFER, sender, peer=to)
+            fr.record(_flightrec.BLOCK_START, sender, peer=to, op="send")
         self._try_match(to, now)
 
     def _on_recv(
-        self, receiver: Process, header: Dict[str, Any], now: float
+        self, receiver: Process, frame: bytes, now: float
     ) -> None:
         if receiver in self._waiting_recv or receiver in self._awaiting_ack:
             raise WireError(
                 f"{receiver!r} issued overlapping receives"
             )
         recv = _PendingReceive(
-            receiver=receiver,
-            source=header.get("source"),
-            deadline=now + self._timeout,
-            t_start=now,
+            receiver,
+            unpack_recv(frame, self._processes),
+            self._deadline(now),
+            now,
         )
         self._waiting_recv[receiver] = recv
-        self._record(
-            _flightrec.BLOCK_START,
-            receiver,
-            peer=recv.source,
-            op="receive",
-        )
+        fr = _flightrec.recorder
+        if fr is not None:
+            fr.record(
+                _flightrec.BLOCK_START,
+                receiver,
+                peer=recv.source,
+                op="receive",
+            )
         self._try_match(receiver, now)
 
     def _try_match(self, receiver: Process, now: float) -> None:
@@ -760,35 +801,36 @@ class _Coordinator:
                 inbox.pop(position)
                 del self._waiting_recv[receiver]
                 self._awaiting_ack[receiver] = _Match(
-                    offer=offer,
-                    recv=recv,
-                    deadline=now + self._timeout,
+                    offer, recv, self._deadline(now)
                 )
                 self.result.stats.piggyback_wire_bytes += len(
                     offer.piggy
                 )
                 self._send(
                     receiver,
-                    MSG_DELIVER,
-                    {"sender": offer.sender, "payload": offer.payload},
-                    offer.piggy,
+                    pack_peer(
+                        MSG_DELIVER,
+                        self._slot_of[offer.sender],
+                        offer.payload,
+                        offer.piggy,
+                    ),
                 )
                 return
 
     def _on_ack_up(
-        self,
-        receiver: Process,
-        header: Dict[str, Any],
-        ack: bytes,
-        now: float,
+        self, receiver: Process, frame: bytes, now: float
     ) -> None:
-        match = self._awaiting_ack.pop(receiver, None)
-        if match is None:
+        if receiver not in self._awaiting_ack:
             raise WireError(
                 f"unsolicited acknowledgement from {receiver!r}"
             )
+        stamp, ack = unpack_ack(frame)
+        timestamp = VectorTimestamp(
+            decode_stamp(stamp, self._decomposition.size)
+        )
+        match = self._awaiting_ack.pop(receiver)
         offer = match.offer
-        timestamp = VectorTimestamp(header["timestamp"])
+        payload = decode_payload(offer.payload)
         # Commit: the event loop is single-threaded, so appending here
         # serializes the global commit order exactly as the threaded
         # transport's lock does.
@@ -800,7 +842,7 @@ class _Coordinator:
                 order=commit_order,
                 sender=offer.sender,
                 receiver=receiver,
-                payload=offer.payload,
+                payload=payload,
                 timestamp=timestamp,
             )
         )
@@ -823,56 +865,56 @@ class _Coordinator:
                 m.rendezvous_block_quantiles.observe(waited)
             m.piggyback_quantiles.observe(len(offer.piggy))
             m.piggyback_quantiles.observe(len(ack))
-        self._record(
-            _flightrec.BLOCK_END,
-            receiver,
-            peer=offer.sender,
-            op="receive",
-            status="matched",
-            seconds=receiver_blocked,
-        )
-        self._record(
-            _flightrec.RENDEZVOUS,
-            receiver,
-            peer=offer.sender,
-            commit_order=commit_order,
-            payload=repr(offer.payload),
-        )
+        fr = _flightrec.recorder
+        if fr is not None:
+            fr.record(
+                _flightrec.BLOCK_END,
+                receiver,
+                peer=offer.sender,
+                op="receive",
+                status="matched",
+                seconds=receiver_blocked,
+            )
+            fr.record(
+                _flightrec.RENDEZVOUS,
+                receiver,
+                peer=offer.sender,
+                commit_order=commit_order,
+                payload=repr(payload),
+            )
         aud = _audit.auditor
         if aud is not None:
             aud.on_runtime_message(offer.sender, receiver, timestamp)
-        self._send(
-            offer.sender,
-            MSG_ACK_DOWN,
-            {"timestamp": header["timestamp"]},
-            ack,
-        )
-        self._record(
-            _flightrec.BLOCK_END,
-            offer.sender,
-            peer=receiver,
-            op="send",
-            status="matched",
-            seconds=sender_blocked,
-        )
+        self._send(offer.sender, forward_ack(frame))
+        if fr is not None:
+            fr.record(
+                _flightrec.BLOCK_END,
+                offer.sender,
+                peer=receiver,
+                op="send",
+                status="matched",
+                seconds=sender_blocked,
+            )
 
     def _on_internal(
         self, process: Process, header: Dict[str, Any]
     ) -> None:
+        # The process's last event gives the slot counter and the run's
+        # event count the serial, so nothing is rescanned per event.
         slot = self._message_counts[process]
-        internal = self.result._internal
-        counter = 1 + sum(
-            1 for e in internal[process] if e.slot == slot
-        )
-        serial = sum(len(events) for events in internal.values())
+        events = self.result._internal[process]
+        counter = 1
+        if events and events[-1].slot == slot:
+            counter = events[-1].counter + 1
+        stats = self.result.stats
+        stats.internal_events += 1
         event = InternalEvent(
             process,
             slot,
             counter,
-            f"{header.get('label', 'compute')}#{serial + 1}",
+            f"{header.get('label', 'compute')}#{stats.internal_events}",
         )
-        internal[process].append(event)
-        self.result.stats.internal_events += 1
+        events.append(event)
         self._record(
             _flightrec.INTERNAL,
             process,
@@ -952,7 +994,7 @@ class _Coordinator:
                 m = _obs.metrics
                 if m is not None:
                     m.rendezvous_wait_seconds.observe(waited)
-                self._send(
+                self._send_control(
                     offer.sender,
                     MSG_TIMEOUT,
                     {
@@ -985,7 +1027,7 @@ class _Coordinator:
             m = _obs.metrics
             if m is not None:
                 m.rendezvous_wait_seconds.observe(waited)
-            self._send(
+            self._send_control(
                 receiver,
                 MSG_TIMEOUT,
                 {
@@ -1007,7 +1049,7 @@ class _Coordinator:
                     f"delivery from {match.offer.sender!r}"
                 )
             )
-            self._send(
+            self._send_control(
                 match.offer.sender,
                 MSG_TIMEOUT,
                 {
@@ -1074,10 +1116,7 @@ class _Coordinator:
         try:
             while len(self._finished) < len(self._expected):
                 now = time.monotonic()
-                deadline = self._next_deadline()
-                wait = 0.5
-                if deadline is not None:
-                    wait = min(wait, max(0.0, deadline - now))
+                wait = min(0.5, max(0.0, self._due - now))
                 if self._live is not None:
                     wait = min(
                         wait, max(0.0, self._live_next_tick - now)
@@ -1091,7 +1130,10 @@ class _Coordinator:
                         self._accept(listener)
                     else:
                         self._read(key.fileobj, now)
-                self._expire(now)
+                if now >= self._due:
+                    self._expire(now)
+                    deadline = self._next_deadline()
+                    self._due = math.inf if deadline is None else deadline
                 self._live_tick_maybe(now)
                 if (
                     not events
@@ -1144,7 +1186,7 @@ class _Coordinator:
                 name,
                 note="node abandoned by the coordinator",
             )
-            self._send(name, MSG_SHUTDOWN, {"reason": reason})
+            self._send_control(name, MSG_SHUTDOWN, {"reason": reason})
 
     def _accept(self, listener: socket.socket) -> None:
         while True:
@@ -1172,44 +1214,43 @@ class _Coordinator:
                 conn, error=self._names.get(conn) is not None
             )
             return
-        self.result.stats.frame_bytes += len(chunk)
+        stats = self.result.stats
+        stats.frame_bytes += len(chunk)
         buffer = self._buffers[conn]
         buffer.feed(chunk)
+        live = self._live
         while True:
-            message = buffer.pop_message()
-            if message is None:
+            frame = buffer.pop_frame()
+            if frame is None:
                 return
-            kind, header, vec = message
-            self.result.stats.frames += 1
+            stats.frames += 1
+            kind = frame[0] if frame else None
             name = self._names.get(conn)
-            if kind == MSG_HELLO:
-                self._on_hello(conn, header)
+            if name is None:
+                if kind != MSG_HELLO:
+                    raise WireError(f"frame kind {kind} before HELLO")
+                self._on_hello(conn, unpack_message(frame)[1])
                 name = self._names.get(conn)
-                if self._live is not None and name is not None:
+                if live is not None and name is not None:
                     self._live_seen[name] = now
                 continue
-            if name is None:
-                raise WireError(
-                    f"frame kind {kind} before HELLO"
-                )
-            if self._live is not None:
+            if live is not None:
                 self._live_seen[name] = now
-            if kind == MSG_TELEMETRY:
+            if kind == MSG_OFFER:
+                self._on_offer(name, frame, now)
+            elif kind == MSG_RECV:
+                self._on_recv(name, frame, now)
+            elif kind == MSG_ACK_UP:
+                self._on_ack_up(name, frame, now)
+            elif kind == MSG_TELEMETRY:
                 # Fire-and-forget: never answered, allowed at any
                 # point after HELLO, ignored if the plane is off.
-                if self._live is not None:
-                    self._live.on_telemetry(name, header, now)
-                continue
-            if kind == MSG_OFFER:
-                self._on_offer(name, header, vec, now)
-            elif kind == MSG_RECV:
-                self._on_recv(name, header, now)
-            elif kind == MSG_ACK_UP:
-                self._on_ack_up(name, header, vec, now)
+                if live is not None:
+                    live.on_telemetry(name, unpack_message(frame)[1], now)
             elif kind == MSG_INTERNAL:
-                self._on_internal(name, header)
+                self._on_internal(name, unpack_message(frame)[1])
             elif kind in (MSG_DONE, MSG_FAIL, MSG_CRASHED):
-                self._on_finish(conn, name, kind, header)
+                self._on_finish(conn, name, kind, unpack_message(frame)[1])
             else:
                 raise WireError(
                     f"unexpected frame kind {kind} from {name!r}"
@@ -1271,6 +1312,9 @@ class DistributedScriptRunner:
                     "distributed process names must be JSON-safe "
                     f"strings or ints, got {process!r}"
                 )
+        # A peer travels as its slot in the topology, so an unknown
+        # peer could not even be framed.
+        check_script_peers(decomposition, scripts)
         self._decomposition = decomposition
         self._scripts = {
             p: list(actions) for p, actions in scripts.items()
@@ -1408,16 +1452,14 @@ def build_load_scripts(
     receive_counts = {
         f"S{i}": 0 for i in range(1, server_count + 1)
     }
+    # Actions are frozen, so one object serves every step of a script.
     for position in range(1, client_count + 1):
         client = f"C{position}"
         server = f"S{(position - 1) % server_count + 1}"
-        scripts[client] = [
-            SendAction(server, payload)
-            for _ in range(messages_per_client)
-        ]
+        scripts[client] = [SendAction(server, payload)] * messages_per_client
         receive_counts[server] += messages_per_client
     for server, count in receive_counts.items():
-        scripts[server] = [ReceiveAction(None) for _ in range(count)]
+        scripts[server] = [ReceiveAction(None)] * count
     return decomposition, scripts
 
 

@@ -93,6 +93,38 @@ def crash(reason: str = "crash") -> CrashAction:
 Action = object  # SendAction | ReceiveAction | ComputeAction
 
 
+def check_script_peers(
+    decomposition: EdgeDecomposition,
+    scripts: Dict[Process, Sequence[Action]],
+) -> None:
+    """Reject a script whose send or receive names a non-neighbour.
+
+    Every ``send`` target and every non-``None`` ``receive`` source
+    must be a process adjacent to the script's owner: a rendezvous
+    happens only along a topology edge.  Both runners call this before
+    any thread or process starts, so a bad peer fails at once with a
+    :class:`SimulationError` naming the owner, the action index and
+    the peer, instead of as a timeout or a transport error mid-run.
+    """
+    graph = decomposition.graph
+    for owner, actions in scripts.items():
+        neighbours = set(graph.neighbors(owner)) if owner in graph else ()
+        for index, action in enumerate(actions):
+            if isinstance(action, SendAction):
+                peer = action.to
+            elif isinstance(action, ReceiveAction):
+                peer = action.source
+                if peer is None:
+                    continue
+            else:
+                continue
+            if peer not in neighbours:
+                raise SimulationError(
+                    f"script of {owner!r}, action {index}: peer "
+                    f"{peer!r} is not a process adjacent to {owner!r}"
+                )
+
+
 # ----------------------------------------------------------------------
 # Transport
 # ----------------------------------------------------------------------
@@ -173,6 +205,7 @@ class SynchronousTransport:
         self._internal: Dict[Process, List[InternalEvent]] = {
             p: [] for p in decomposition.graph.vertices
         }
+        self._internal_total = 0
         #: Exceptions collected by the runner when ``raise_on_error`` is
         #: off (timeouts of a crashed process's peers, script errors).
         self.errors: List[BaseException] = []
@@ -431,15 +464,18 @@ class SynchronousTransport:
         """
         self._check_poisoned()
         with self._lock:
+            # The process's last event gives the slot counter and a
+            # running total the serial, so nothing is rescanned.
             slot = self._message_counts[process]
-            counter = 1 + sum(
-                1 for e in self._internal[process] if e.slot == slot
-            )
-            serial = sum(len(events) for events in self._internal.values())
+            events = self._internal[process]
+            counter = 1
+            if events and events[-1].slot == slot:
+                counter = events[-1].counter + 1
+            self._internal_total += 1
             event = InternalEvent(
-                process, slot, counter, f"{label}#{serial + 1}"
+                process, slot, counter, f"{label}#{self._internal_total}"
             )
-            self._internal[process].append(event)
+            events.append(event)
             fr = _flightrec.recorder
             if fr is not None:
                 fr.record(
@@ -563,6 +599,7 @@ class ScriptRunner:
             raise SimulationError(
                 f"scripts reference unknown processes: {unknown}"
             )
+        check_script_peers(decomposition, scripts)
         self._decomposition = decomposition
         self._scripts = {p: list(actions) for p, actions in scripts.items()}
         self._timeout = timeout

@@ -2,28 +2,51 @@
 
 Everything that travels between a node process and the coordinator is
 one *frame*: a 4-byte big-endian length followed by that many payload
-bytes.  A payload is::
+bytes, whose first byte is the kind (one of the ``MSG_*`` constants).
 
-    u8  kind        (one of the ``MSG_*`` constants)
+One program message is five frames: OFFER, RECV and ACK_UP in, DELIVER
+and ACK_DOWN out.  Each of those five kinds has one fixed binary layout
+(``u32`` fields are big-endian)::
+
+    OFFER     u8 kind | u32 receiver slot | u32 n | n bytes JSON payload | piggyback
+    DELIVER   u8 kind | u32 sender slot   | u32 n | n bytes JSON payload | piggyback
+    RECV      u8 kind | u32 source slot (ANY_SOURCE: any sender)
+    ACK_UP    u8 kind | u32 n | n bytes timestamp | ack piggyback
+    ACK_DOWN  the ACK_UP payload with only its kind byte changed
+
+A *slot* is a process's index in ``decomposition.graph.vertices``,
+which every node already holds.  The timestamp is the receiver's
+message timestamp as :func:`encode_varints` bytes; LEB128 of a
+non-negative int is canonical, so the sender checks agreement with one
+bytes comparison.  The coordinator forwards DELIVER's payload bytes and
+ACK_DOWN's whole body without re-encoding either.
+
+The control kinds (HELLO, INTERNAL, DONE, FAIL, TIMEOUT, CRASHED,
+SHUTDOWN, TELEMETRY) carry free-form dicts a few times per node, so
+they keep a JSON header (:func:`pack_message`)::
+
+    u8  kind
     u32 header_len  (big-endian)
     header_len bytes of UTF-8 JSON  (control-plane metadata)
-    the rest: the piggybacked vector, one unsigned LEB128 varint per
-              component (the *data plane* — exactly the bytes the
-              paper's Figure 5 algorithm puts on the wire)
+    the rest: trailing bytes, passed through as is
 
-The split is deliberate: the JSON header carries harness metadata
-(payload, peer names, the receiver-computed timestamp used for the
-sender-side cross-check) that a real deployment would fold into its own
-message envelope, while the trailing vector bytes are the *actual
-piggyback cost* of the clock algorithm.  ``piggyback_size_bytes``
-accounting in the coordinator counts ``len(vector_bytes)`` of real
-frames, so the reported bytes/s is measured on the wire, not modelled.
+The piggyback is the *data plane*: one unsigned LEB128 varint per
+vector component (or a delta frame, see :mod:`repro.clocks.delta`),
+exactly the bytes the paper's Figure 5 algorithm puts on the wire.
+Everything else is harness metadata that a real deployment would fold
+into its own message envelope.  ``piggyback_size_bytes`` accounting in
+the coordinator counts the piggyback bytes of real frames, so the
+reported bytes/s is measured on the wire, not modelled.
 
 The LEB128 codec here is the binary twin of
 :func:`repro.obs.instrument.piggyback_size_bytes`: for every vector,
 ``len(encode_vector(v)) == piggyback_size_bytes(v)`` (pinned by
 ``tests/sim/test_distributed.py``), which keeps the byte accounting of
 the threaded and socket runtimes directly comparable.
+
+Frames are parsed with :mod:`struct` and :mod:`json` only: the TCP
+transport listens where any local user can connect, so nothing here
+unpickles or unmarshals peer bytes.
 """
 
 from __future__ import annotations
@@ -40,15 +63,15 @@ from repro.exceptions import SimulationError
 # Message kinds
 # ----------------------------------------------------------------------
 MSG_HELLO = 1  #: node -> coord: {"node": name}
-MSG_OFFER = 2  #: node -> coord: {"to": name, "payload": ...} + v_i bytes
-MSG_RECV = 3  #: node -> coord: {"source": name | None}
-MSG_DELIVER = 4  #: coord -> node: {"sender": name, "payload": ...} + v bytes
-MSG_ACK_UP = 5  #: node -> coord: {"timestamp": [...]} + pre-merge ack bytes
-MSG_ACK_DOWN = 6  #: coord -> node: {"timestamp": [...]} + ack bytes
+MSG_OFFER = 2  #: node -> coord: receiver slot, payload, v_i bytes
+MSG_RECV = 3  #: node -> coord: source slot or ANY_SOURCE
+MSG_DELIVER = 4  #: coord -> node: sender slot, payload, v bytes
+MSG_ACK_UP = 5  #: node -> coord: timestamp, pre-merge ack bytes
+MSG_ACK_DOWN = 6  #: coord -> node: ACK_UP's body, forwarded
 MSG_INTERNAL = 7  #: node -> coord: {"label": str}
 MSG_DONE = 8  #: node -> coord: script finished cleanly
 MSG_FAIL = 9  #: node -> coord: {"error": repr} script died
-MSG_TIMEOUT = 10  #: coord -> node: {"op": "send"|"receive"} wait expired
+MSG_TIMEOUT = 10  #: coord -> node: {"reason": str} wait expired
 MSG_CRASHED = 11  #: node -> coord: {"reason": str} fault injection
 MSG_SHUTDOWN = 12  #: coord -> node: run is over / poisoned, stop now
 MSG_TELEMETRY = 13  #: node -> coord: fire-and-forget metric/flight push
@@ -57,8 +80,21 @@ MSG_TELEMETRY = 13  #: node -> coord: fire-and-forget metric/flight push
 #: not a message (prevents a corrupt length prefix from allocating GiBs).
 MAX_FRAME_BYTES = 1 << 24
 
+#: RECV's source slot when any sender will do.
+ANY_SOURCE = 0xFFFFFFFF
+
 _LEN = struct.Struct(">I")
+#: kind + u32: a control frame's header length, RECV's source slot,
+#: and the ACKs' timestamp length.
 _HEAD = struct.Struct(">BI")
+#: kind + peer slot + payload length: OFFER and DELIVER.
+_PEER = struct.Struct(">BII")
+_ACK_DOWN_KIND = bytes((MSG_ACK_DOWN,))
+
+#: One shared encoder: ``json.dumps`` with ``separators`` builds a new
+#: ``JSONEncoder`` on every call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+_JSON_DECODER = json.JSONDecoder()
 
 
 class WireError(SimulationError):
@@ -174,13 +210,18 @@ def decode_vector(
 
 
 # ----------------------------------------------------------------------
-# Frame packing
+# Control frames: JSON header
 # ----------------------------------------------------------------------
 def pack_message(
     kind: int, header: Dict[str, Any], vector_bytes: bytes = b""
 ) -> bytes:
-    """Assemble one frame payload (kind + JSON header + vector bytes)."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    """Assemble one frame payload (kind + JSON header + vector bytes).
+
+    The runtime sends only control kinds this way; the five rendezvous
+    kinds use the layouts below.  Any kind is accepted, so tools that
+    model a JSON-framed rendezvous can still build one.
+    """
+    head = _JSON.encode(header).encode("utf-8")
     return _HEAD.pack(kind, len(head)) + head + vector_bytes
 
 
@@ -200,6 +241,114 @@ def unpack_message(payload: bytes) -> Tuple[int, Dict[str, Any], bytes]:
 
 
 # ----------------------------------------------------------------------
+# Rendezvous frames: fixed layouts
+# ----------------------------------------------------------------------
+def encode_payload(payload: Any) -> bytes:
+    """A program message's payload as the JSON bytes OFFER carries."""
+    return _JSON.encode(payload).encode("utf-8")
+
+
+def decode_payload(data: bytes) -> Any:
+    """The payload of an OFFER's or DELIVER's JSON bytes.
+
+    :func:`encode_payload` writes no whitespace, so the bytes must be
+    exactly one JSON value: ``raw_decode`` skips ``json.loads``'s two
+    whitespace scans.
+    """
+    try:
+        text = data.decode("utf-8")
+        payload, end = _JSON_DECODER.raw_decode(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WireError(f"bad message payload: {exc}") from exc
+    if end != len(text):
+        raise WireError("trailing bytes after a message payload")
+    return payload
+
+
+def _process_at(processes: Sequence[Any], slot: int) -> Any:
+    if slot >= len(processes):
+        raise WireError(
+            f"process slot {slot} out of range "
+            f"({len(processes)} processes)"
+        )
+    return processes[slot]
+
+
+def pack_peer(kind: int, slot: int, payload: bytes, piggy: bytes) -> bytes:
+    """An OFFER (receiver slot) or DELIVER (sender slot) payload."""
+    return _PEER.pack(kind, slot, len(payload)) + payload + piggy
+
+
+def unpack_peer(
+    frame: bytes, processes: Sequence[Any]
+) -> Tuple[Any, bytes, bytes]:
+    """``(peer, payload bytes, piggyback)`` of an OFFER or DELIVER.
+
+    ``processes`` is ``decomposition.graph.vertices``; a slot past its
+    end, or a payload length past the frame's end, is a ``WireError``.
+    """
+    if len(frame) < _PEER.size:
+        raise WireError(f"short peer frame ({len(frame)} bytes)")
+    _, slot, length = _PEER.unpack_from(frame)
+    end = _PEER.size + length
+    if end > len(frame):
+        raise WireError("message payload overruns the frame")
+    return _process_at(processes, slot), frame[_PEER.size:end], frame[end:]
+
+
+def pack_recv(slot: int) -> bytes:
+    """A RECV payload; ``slot`` is :data:`ANY_SOURCE` for any sender."""
+    return _HEAD.pack(MSG_RECV, slot)
+
+
+def unpack_recv(frame: bytes, processes: Sequence[Any]) -> Optional[Any]:
+    """The source a RECV waits for, or ``None`` for any sender."""
+    if len(frame) != _HEAD.size:
+        raise WireError(
+            f"RECV frame of {len(frame)} bytes, expected {_HEAD.size}"
+        )
+    _, slot = _HEAD.unpack(frame)
+    if slot == ANY_SOURCE:
+        return None
+    return _process_at(processes, slot)
+
+
+def pack_ack(kind: int, stamp: bytes, piggy: bytes) -> bytes:
+    """An ACK_UP or ACK_DOWN payload: timestamp bytes, then piggyback."""
+    return _HEAD.pack(kind, len(stamp)) + stamp + piggy
+
+
+def unpack_ack(frame: bytes) -> Tuple[bytes, bytes]:
+    """``(timestamp bytes, ack piggyback)`` of an ACK_UP or ACK_DOWN."""
+    if len(frame) < _HEAD.size:
+        raise WireError(f"short ack frame ({len(frame)} bytes)")
+    _, length = _HEAD.unpack_from(frame)
+    end = _HEAD.size + length
+    if end > len(frame):
+        raise WireError("ack timestamp overruns the frame")
+    return frame[_HEAD.size:end], frame[end:]
+
+
+def forward_ack(ack_up: bytes) -> bytes:
+    """ACK_DOWN: the ACK_UP payload with only its kind byte changed."""
+    return _ACK_DOWN_KIND + ack_up[1:]
+
+
+def decode_stamp(stamp: bytes, size: int) -> List[int]:
+    """The ``size`` components of an ACK's timestamp bytes.
+
+    Short or trailing bytes raise ``WireError``: the bytes must be
+    exactly one vector.
+    """
+    values, end = decode_varints(stamp, size)
+    if end != len(stamp):
+        raise WireError(
+            f"{len(stamp) - end} trailing bytes after an ack timestamp"
+        )
+    return values
+
+
+# ----------------------------------------------------------------------
 # Incremental framing (for the coordinator's selector loop)
 # ----------------------------------------------------------------------
 class FrameBuffer:
@@ -207,39 +356,45 @@ class FrameBuffer:
 
     The coordinator reads whatever the kernel has and feeds it here;
     :meth:`pop_frame` yields complete payloads as they form.  One
-    instance per connection.
+    instance per connection.  Whole frames are sliced straight out of
+    the chunk they arrived in; only a frame split across chunks is
+    copied into a growing buffer.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_pos")
 
     def __init__(self) -> None:
-        self._data = bytearray()
+        self._data: Any = b""
+        self._pos = 0
 
     def feed(self, chunk: bytes) -> None:
-        self._data.extend(chunk)
+        if self._pos == len(self._data):
+            # Everything fed so far was consumed: parse the chunk as is.
+            self._data = chunk
+        else:
+            if self._pos or not isinstance(self._data, bytearray):
+                self._data = bytearray(self._data[self._pos:])
+            self._data += chunk
+        self._pos = 0
 
     def pop_frame(self) -> Optional[bytes]:
         """The next complete frame payload, or ``None`` if partial."""
-        if len(self._data) < _LEN.size:
+        data, start = self._data, self._pos
+        if len(data) - start < _LEN.size:
             return None
-        (length,) = _LEN.unpack_from(self._data)
+        (length,) = _LEN.unpack_from(data, start)
         if length > MAX_FRAME_BYTES:
             raise WireError(
                 f"incoming frame claims {length} bytes "
                 f"(cap {MAX_FRAME_BYTES}); stream is corrupt"
             )
-        end = _LEN.size + length
-        if len(self._data) < end:
+        start += _LEN.size
+        end = start + length
+        if len(data) < end:
             return None
-        payload = bytes(self._data[_LEN.size:end])
-        del self._data[:end]
-        return payload
-
-    def pop_message(self) -> Optional[Tuple[int, Dict[str, Any], bytes]]:
-        payload = self.pop_frame()
-        if payload is None:
-            return None
-        return unpack_message(payload)
+        self._pos = end
+        frame = data[start:end]
+        return frame if isinstance(frame, bytes) else bytes(frame)
 
 
 def _sendall(sock, data: bytes) -> None:
@@ -250,9 +405,19 @@ def _sendall(sock, data: bytes) -> None:
     unknown number of bytes already written — resending from the start
     would corrupt the frame stream.  A manual ``send`` loop knows
     exactly how far it got, so an ``InterruptedError`` simply retries
-    the remainder.
+    the remainder.  The first ``send`` takes the bytes as they are: a
+    frame usually goes out whole, with no view to build.
     """
-    view = memoryview(data)
+    try:
+        sent = sock.send(data)
+    except InterruptedError:
+        sent = 0
+    else:
+        if sent == len(data):
+            return
+        if sent <= 0:
+            raise WireError("socket refused to accept frame bytes")
+    view = memoryview(data)[sent:]
     while view:
         try:
             sent = sock.send(view)
@@ -272,25 +437,18 @@ def _recv_retry(sock, count: int) -> bytes:
             continue
 
 
-def send_message(
-    sock: socket.socket,
-    kind: int,
-    header: Dict[str, Any],
-    vector_bytes: bytes = b"",
-) -> int:
-    """Frame and send one message on a raw socket.
+def send_frame(sock: socket.socket, payload: bytes) -> int:
+    """Length-prefix and send one frame payload on a raw socket.
 
     Returns the bytes written, the 4-byte length prefix included.
     """
-    payload = pack_message(kind, header, vector_bytes)
-    if len(payload) > MAX_FRAME_BYTES:
+    size = len(payload)
+    if size > MAX_FRAME_BYTES:
         raise WireError(
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte cap"
+            f"frame of {size} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )
-    frame = _LEN.pack(len(payload)) + payload
-    _sendall(sock, frame)
-    return len(frame)
+    _sendall(sock, _LEN.pack(size) + payload)
+    return _LEN.size + size
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +469,7 @@ class FrameSocket:
         self._sock.settimeout(timeout)
 
     def send_frame(self, payload: bytes) -> None:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise WireError(
-                f"frame of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte cap"
-            )
-        _sendall(self._sock, _LEN.pack(len(payload)) + payload)
+        send_frame(self._sock, payload)
 
     def send_message(
         self, kind: int, header: Dict[str, Any], vector_bytes: bytes = b""
@@ -337,7 +490,12 @@ class FrameSocket:
         return data
 
     def recv_frame(self) -> Optional[bytes]:
-        """One frame payload, or ``None`` on a clean EOF between frames."""
+        """One frame payload, or ``None`` on a clean EOF between frames.
+
+        When one ``recv`` returns exactly one frame, which is the usual
+        case for a request/response protocol, its payload is sliced
+        straight from the chunk.
+        """
         if not self._recv_buffer:
             try:
                 chunk = _recv_retry(self._sock, 65536)
@@ -345,6 +503,11 @@ class FrameSocket:
                 return None
             if not chunk:
                 return None
+            if (
+                len(chunk) >= _LEN.size
+                and _LEN.unpack_from(chunk)[0] == len(chunk) - _LEN.size
+            ):
+                return chunk[_LEN.size:]
             self._recv_buffer.extend(chunk)
         (length,) = _LEN.unpack(self._recv_exact(_LEN.size))
         if length > MAX_FRAME_BYTES:
@@ -353,13 +516,6 @@ class FrameSocket:
                 f"(cap {MAX_FRAME_BYTES}); stream is corrupt"
             )
         return self._recv_exact(length)
-
-    def recv_message(self) -> Optional[Tuple[int, Dict[str, Any], bytes]]:
-        """One unpacked message, or ``None`` on a clean EOF."""
-        payload = self.recv_frame()
-        if payload is None:
-            return None
-        return unpack_message(payload)
 
     def close(self) -> None:
         try:

@@ -35,13 +35,8 @@ from repro.sim.distributed import (
     run_load,
 )
 from repro.sim.wire import (
-    MSG_ACK_DOWN,
-    MSG_ACK_UP,
-    MSG_DELIVER,
     MSG_DONE,
     MSG_HELLO,
-    MSG_OFFER,
-    MSG_RECV,
     FrameBuffer,
     WireError,
     decode_varint,
@@ -110,9 +105,9 @@ class TestWireCodec:
         # Feed one byte at a time: no message until the frame completes.
         for byte in frame[:-1]:
             buffer.feed(bytes([byte]))
-            assert buffer.pop_message() is None
+            assert buffer.pop_frame() is None
         buffer.feed(frame[-1:])
-        kind, header, vec = buffer.pop_message()
+        kind, header, vec = unpack_message(buffer.pop_frame())
         assert (kind, header["to"], vec) == (2, "P2", b"\x05")
 
     def test_frame_buffer_rejects_corrupt_length(self):
@@ -139,7 +134,12 @@ class TestDistributedBasics:
         assert transport.stats.piggyback_bytes == 2
 
     def test_frame_bytes_count_every_byte_both_ways(self):
-        """Length prefix, kind, header and piggyback of every frame."""
+        """Every byte of every frame, in both directions.
+
+        The five rendezvous frames have fixed layouts (a 4-byte length
+        prefix, a kind byte, then ``u32`` fields); HELLO and DONE keep
+        their JSON header.
+        """
         decomposition = decompose(path_topology(2))
         transport = DistributedScriptRunner(
             decomposition,
@@ -147,23 +147,25 @@ class TestDistributedBasics:
             timeout=10.0,
         ).run()
         hello = {"actions": 1, "wire_format": "full"}
-        zero = encode_vector([0])
-        frames = [
-            # node -> coordinator
-            (MSG_HELLO, {"node": "P1", **hello}, b""),
-            (MSG_HELLO, {"node": "P2", **hello}, b""),
-            (MSG_OFFER, {"to": "P2", "payload": "hello"}, zero),
-            (MSG_RECV, {"source": "P1"}, b""),
-            (MSG_ACK_UP, {"timestamp": [1]}, zero),
-            (MSG_DONE, {}, b""),
-            (MSG_DONE, {}, b""),
-            # coordinator -> node
-            (MSG_DELIVER, {"sender": "P1", "payload": "hello"}, zero),
-            (MSG_ACK_DOWN, {"timestamp": [1]}, zero),
+        control = [
+            (MSG_HELLO, {"node": "P1", **hello}),
+            (MSG_HELLO, {"node": "P2", **hello}),
+            (MSG_DONE, {}),
+            (MSG_DONE, {}),
         ]
-        expected = sum(
-            4 + len(pack_message(kind, header, piggy))
-            for kind, header, piggy in frames
+        payload = len(b'"hello"')
+        piggy = len(encode_vector([0]))
+        stamp = len(encode_vector([1]))
+        rendezvous = [
+            4 + 1 + 4 + 4 + payload + piggy,  # OFFER: slot, length
+            4 + 1 + 4,  # RECV: source slot
+            4 + 1 + 4 + stamp + piggy,  # ACK_UP: length, timestamp
+            4 + 1 + 4 + 4 + payload + piggy,  # DELIVER
+            4 + 1 + 4 + stamp + piggy,  # ACK_DOWN
+        ]
+        expected = sum(rendezvous) + sum(
+            4 + len(pack_message(kind, header))
+            for kind, header in control
         )
         assert transport.stats.frame_bytes == expected
         assert transport.stats.frame_bytes_per_message == expected
