@@ -41,6 +41,10 @@ SMOKE = os.environ.get("BENCH_BATCH_SMOKE") == "1"
 TOPOLOGY = client_server_topology(3, 27)  # N = 30, d = 3
 MESSAGES = 300 if SMOKE else 1_000
 REPEATS = 1 if SMOKE else 5
+#: Shortest timed region: one call of a ~2 ms path would sit inside a
+#: slow spell of the host, so a full run repeats the call until the
+#: region lasts this long.  Smoke runs time one call.
+MIN_REGION_SECONDS = 0.0 if SMOKE else 0.02
 REQUIRED_SPEEDUP = 2.0
 
 
@@ -48,14 +52,26 @@ def _workload():
     return random_computation(TOPOLOGY, MESSAGES, random.Random(11))
 
 
-def _manual_best(fn) -> float:
-    """Best-of-``REPEATS`` wall-clock timing (instrumentation off)."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        started = time.perf_counter()
+def _seconds_per_call(fn) -> float:
+    """Call ``fn`` until ``MIN_REGION_SECONDS`` pass; mean seconds per call."""
+    calls = 0
+    started = time.perf_counter()
+    while True:
         fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+        calls += 1
+        elapsed = time.perf_counter() - started
+        if elapsed >= MIN_REGION_SECONDS:
+            return elapsed / calls
+
+
+def _interleaved_best(slow_fn, fast_fn):
+    """Best-of-``REPEATS`` seconds per call of each path (instrumentation
+    off), alternating the two so host drift reaches both alike."""
+    slow = fast = float("inf")
+    for _ in range(REPEATS):
+        slow = min(slow, _seconds_per_call(slow_fn))
+        fast = min(fast, _seconds_per_call(fast_fn))
+    return slow, fast
 
 
 def test_batch_equals_handshake_exactly(report_header):
@@ -87,11 +103,9 @@ def test_batch_speedup_snapshot(report_header):
     clock = OnlineEdgeClock(decompose(TOPOLOGY))
     instrument.disable()
 
-    slow_seconds = _manual_best(
-        lambda: clock.timestamp_computation_handshake(computation)
-    )
-    fast_seconds = _manual_best(
-        lambda: clock.timestamp_computation(computation)
+    slow_seconds, fast_seconds = _interleaved_best(
+        lambda: clock.timestamp_computation_handshake(computation),
+        lambda: clock.timestamp_computation(computation),
     )
     speedup = slow_seconds / fast_seconds
 

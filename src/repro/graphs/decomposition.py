@@ -264,6 +264,7 @@ def paper_decomposition_algorithm(
     working = graph.copy()
     groups: List[EdgeGroup] = []
     trace = DecompositionTrace()
+    triangle_free = False
 
     def emit_star(root: Vertex, edges: Sequence[Edge], step: int, note: str):
         group = StarGroup(root, tuple(edges))
@@ -300,12 +301,16 @@ def paper_decomposition_algorithm(
                 sp.set_attribute("groups_emitted", len(groups) - before)
 
             # ---- Second step: peel triangles with two deg-2 corners. -
+            # The working graph only loses edges, so once it has no
+            # triangle it never gains one: stop enumerating them.
             before = len(groups)
             with _obs.span("figure7.step2_triangles") as sp:
-                progressed = True
+                progressed = not triangle_free
                 while progressed:
                     progressed = False
-                    for corners in working.triangles():
+                    triangles = working.triangles()
+                    triangle_free = not triangles
+                    for corners in triangles:
                         low_degree = [
                             v for v in corners if working.degree(v) == 2
                         ]

@@ -107,8 +107,8 @@ class MessagePoset(Poset):
 def message_poset(computation: SyncComputation) -> MessagePoset:
     """The poset ``(M, ↦)``: transitive closure of ``▷``.
 
-    Elements are the :class:`SyncMessage` objects themselves (they are
-    frozen dataclasses, hence hashable).
+    Elements are the :class:`SyncMessage` objects themselves (immutable
+    tuples, hence hashable).
 
     >>> from repro.graphs.generators import path_topology
     >>> comp = SyncComputation.from_pairs(

@@ -20,6 +20,7 @@ structures defined here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,8 +30,9 @@ from repro.graphs.graph import UndirectedGraph
 Process = Hashable
 
 
-@dataclass(frozen=True)
-class SyncMessage:
+class SyncMessage(
+    namedtuple("SyncMessage", ("index", "sender", "receiver", "name"))
+):
     """One synchronous message.
 
     ``index`` is the message's position in the global execution order
@@ -38,12 +40,40 @@ class SyncMessage:
     arrows, this single index fully determines both the send and the
     receive position.  ``name`` is a human-readable label (``m1``,
     ``m2``, ... by default) used in reports and tests.
+
+    A message is an immutable tuple ``(index, sender, receiver, name)``,
+    so reading and hashing one runs in C:
+
+    * the fields are read-only, and no other attribute can be set;
+    * ``hash(m) == hash((m.index, m.sender, m.receiver, m.name))``;
+    * a message equals only another :class:`SyncMessage` with equal
+      fields, never a plain tuple, in either operand order;
+    * ``<``, ``<=``, ``>`` and ``>=`` raise :class:`TypeError`.
+
+    The tuple base also brings ``len`` (always 4), iteration, indexing,
+    ``in``, ``+`` (which returns a plain tuple) and namedtuple's
+    ``_fields``, ``_make``, ``_replace`` and ``_asdict``.
     """
 
-    index: int
-    sender: Process
-    receiver: Process
-    name: str
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        # ``False``, not ``NotImplemented``: a plain tuple's reflected
+        # ``__eq__`` would compare the fields and answer ``True``.
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    # Defining ``__eq__`` clears the inherited hash.
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other: object) -> bool:
+        # Raise rather than return ``NotImplemented``, which would let
+        # ``(...) < message`` fall back to tuple ordering.
+        raise TypeError("messages are not ordered; compare their index")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def participants(self) -> Tuple[Process, Process]:
         return (self.sender, self.receiver)
@@ -79,19 +109,19 @@ class SyncComputation:
     def __init__(self, topology: UndirectedGraph, messages: Sequence[SyncMessage]):
         self._topology = topology
         self._messages: Tuple[SyncMessage, ...] = tuple(messages)
-        self._by_name: Dict[str, SyncMessage] = {}
-        self._per_process: Dict[Process, List[SyncMessage]] = {
-            p: [] for p in topology.vertices
-        }
-        self._validate()
+        self._by_name: Dict[str, SyncMessage] = self._validate()
+        self._per_process: Optional[
+            Dict[Process, Tuple[SyncMessage, ...]]
+        ] = None  # built by ``_projections`` on first use
 
-    def _validate(self) -> None:
+    def _validate(self) -> Dict[str, SyncMessage]:
+        """Check Section 2's rules message by message; return the name
+        index."""
         # An adjacent pair is two distinct processes of the system, so a
         # valid message costs one adjacency probe; only a failing one
         # runs the itemised checks in ``_reject``.
         has_edge = self._topology.has_edge
-        by_name = self._by_name
-        per_process = self._per_process
+        by_name: Dict[str, SyncMessage] = {}
         for position, message in enumerate(self._messages):
             if (
                 message.index != position
@@ -100,8 +130,7 @@ class SyncComputation:
             ):
                 self._reject(position, message)
             by_name[message.name] = message
-            per_process[message.sender].append(message)
-            per_process[message.receiver].append(message)
+        return by_name
 
     def _reject(self, position: int, message: SyncMessage) -> None:
         """Raise the first Section 2 rule that ``message`` breaks."""
@@ -185,15 +214,34 @@ class SyncComputation:
         messages are related by ``▷`` exactly when they are consecutive
         or non-consecutive entries of some process's projection.
         """
-        if process not in self._per_process:
+        projections = self._projections()
+        if process not in projections:
             raise InvalidComputationError(
                 f"process {process!r} is not in the system"
             )
-        return tuple(self._per_process[process])
+        return projections[process]
 
     def active_processes(self) -> List[Process]:
         """Processes that participate in at least one message."""
-        return [p for p in self.processes if self._per_process[p]]
+        return [p for p, own in self._projections().items() if own]
+
+    def _projections(self) -> Dict[Process, Tuple[SyncMessage, ...]]:
+        """Every process's projection, built on the first call.
+
+        The stamping paths never read projections, so they never pay for
+        them.  Two threads racing here both build the same value.
+        """
+        projections = self._per_process
+        if projections is None:
+            lists: Dict[Process, List[SyncMessage]] = {
+                p: [] for p in self._topology.vertices
+            }
+            for message in self._messages:
+                lists[message.sender].append(message)
+                lists[message.receiver].append(message)
+            projections = {p: tuple(ms) for p, ms in lists.items()}
+            self._per_process = projections
+        return projections
 
     def channels_used(self) -> List[Tuple[Process, Process]]:
         """Distinct channels that carry at least one message."""

@@ -9,6 +9,8 @@ offline — the workflow the offline algorithm (Figure 9) assumes.
 from __future__ import annotations
 
 import json
+from itertools import count, repeat
+from operator import add, itemgetter
 from typing import Any, Dict, List, Mapping
 
 from repro.clocks.base import TimestampAssignment
@@ -18,6 +20,8 @@ from repro.graphs.graph import UndirectedGraph
 from repro.sim.computation import SyncComputation, SyncMessage
 
 FORMAT_VERSION = 1
+
+_FIELDS = itemgetter("sender", "receiver", "name")
 
 
 def topology_to_dict(topology: UndirectedGraph) -> Dict[str, Any]:
@@ -55,15 +59,13 @@ def computation_from_dict(data: Mapping[str, Any]) -> SyncComputation:
             f"unsupported trace format version {version!r}"
         )
     topology = topology_from_dict(data["topology"])
-    messages = [
-        SyncMessage(
-            index=position,
-            sender=record["sender"],
-            receiver=record["receiver"],
-            name=record["name"],
-        )
-        for position, record in enumerate(data["messages"])
-    ]
+    # One pass over the records, so any iterable will do.  ``_FIELDS``
+    # reads sender, receiver, name in that order, so a malformed record
+    # raises the KeyError or TypeError it always did; each message is
+    # ``(index,) + fields`` built by ``tuple.__new__``, as
+    # ``SyncMessage._make`` does, without a Python frame per message.
+    fields = map(add, zip(count()), map(_FIELDS, data["messages"]))
+    messages = map(tuple.__new__, repeat(SyncMessage), fields)
     return SyncComputation(topology, messages)
 
 
@@ -76,7 +78,12 @@ def loads_computation(text: str) -> SyncComputation:
 
 
 def _vector_to_list(vector: VectorTimestamp) -> List[Any]:
-    return ["inf" if c == INFINITY else c for c in vector]
+    components = vector.components
+    # One C-level scan: only a vector with an INFINITY component needs
+    # rewriting.
+    if INFINITY not in components:
+        return list(components)
+    return ["inf" if c == INFINITY else c for c in components]
 
 
 def _vector_from_list(values: List[Any]) -> VectorTimestamp:
